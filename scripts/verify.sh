@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 build + full ctest, the scaling gate (10k-net
+# Repo verification: tier-1 build + full ctest, a repeat-under-load pass
+# over the CLI-trace / obs / LUT-format tests (exit-time lifetime bugs
+# surface only under parallel load), the scaling gate (10k-net
 # jobs sweep -> patlabor_scaling must account for the wall clock AND clear
 # the speedup bar on >=4-core hosts; auto-waived on narrower machines),
 # the obsdiff regression gate (two-run self-compare + perturbed-seed
@@ -310,6 +312,10 @@ if [[ $quick -eq 1 ]]; then
   exit 0
 fi
 
+echo "== repeat under load: CLI-trace, obs and LUT-format tests x20 =="
+(cd build && ctest -j4 --repeat until-fail:20 --output-on-failure \
+  -R '^(test_cli_trace|Obs|LutFormat)')
+
 serve_smoke
 serve_obsdiff
 lut_storage_gate
@@ -409,9 +415,7 @@ if [[ $run_tsan -eq 1 ]]; then
     test_serve test_cli_trace patlabor_cli patlabor_obsdiff
   (
     cd build-tsan
-    # tsan.supp covers the known relaxed read-unlock inside libstdc++'s
-    # atomic<shared_ptr> (_Sp_atomic), hit by the cache's snapshot reads.
-    export TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/../scripts/tsan.supp"
+    export TSAN_OPTIONS="halt_on_error=1"
     ./tests/test_par
     ./tests/test_obs
     ./tests/test_metrics

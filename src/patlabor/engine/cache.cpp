@@ -1,6 +1,7 @@
 #include "patlabor/engine/cache.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "patlabor/obs/obs.hpp"
@@ -36,64 +37,55 @@ std::optional<CacheEntry> FrontierCache::find(
     std::uint64_t key, const std::vector<geom::Point>& pins) {
   if (capacity_ == 0) return std::nullopt;
   Shard& sh = shard_of(key);
-  // Wait-free read path: probe the published snapshot.  The acquire load
-  // pairs with insert's release store, so every node reachable from the
-  // snapshot is fully constructed; nodes are immutable apart from their
-  // recency tick.
-  const std::shared_ptr<const Snapshot> snap =
-      sh.snapshot.load(std::memory_order_acquire);
-  if (snap != nullptr) {
-    const auto it = snap->find(key);
-    if (it != snap->end() && it->second->entry.pins == pins) {
-      it->second->tick.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-                             std::memory_order_relaxed);
-      sh.hits.fetch_add(1, std::memory_order_relaxed);
-      PL_COUNT("engine.cache.hit", 1);
-      return it->second->entry;
+  std::optional<CacheEntry> out;
+  {
+    std::lock_guard<obs::TimedMutex> lock(sh.mu);
+    const auto it = sh.index.find(key);
+    if (it != sh.index.end() && it->second->second.pins == pins) {
+      sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
+      out = it->second->second;
+      ++sh.hits;
+    } else {
+      ++sh.misses;
     }
   }
-  sh.misses.fetch_add(1, std::memory_order_relaxed);
-  PL_COUNT("engine.cache.miss", 1);
-  return std::nullopt;
+  if (out.has_value())
+    PL_COUNT("engine.cache.hit", 1);
+  else
+    PL_COUNT("engine.cache.miss", 1);
+  return out;
 }
 
 void FrontierCache::insert(std::uint64_t key, CacheEntry entry) {
   if (capacity_ == 0) return;
   Shard& sh = shard_of(key);
-  std::uint64_t evicted = 0;
-  std::int64_t delta = 0;
+  Lru evicted;  // destroyed after the lock is released
+  bool added = false;
   {
     std::lock_guard<obs::TimedMutex> lock(sh.mu);
-    auto node = std::make_shared<Node>(
-        std::move(entry), tick_.fetch_add(1, std::memory_order_relaxed) + 1);
-    const auto it = sh.map.find(key);
-    if (it != sh.map.end()) {
-      it->second = std::move(node);  // refresh: new node, new tick
+    const auto it = sh.index.find(key);
+    if (it != sh.index.end()) {
+      // Refresh; the old value leaves with `entry`, outside the lock.
+      std::swap(it->second->second, entry);
+      sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
     } else {
-      sh.map.emplace(key, std::move(node));
-      ++delta;
-      while (sh.map.size() > per_shard_) {
-        auto victim = sh.map.begin();
-        for (auto i = sh.map.begin(); i != sh.map.end(); ++i)
-          if (i->second->tick.load(std::memory_order_relaxed) <
-              victim->second->tick.load(std::memory_order_relaxed))
-            victim = i;
-        sh.map.erase(victim);
-        ++evicted;
-        --delta;
+      sh.lru.emplace_front(key, std::move(entry));
+      sh.index.emplace(key, sh.lru.begin());
+      added = true;
+      while (sh.lru.size() > per_shard_) {
+        sh.index.erase(sh.lru.back().first);
+        evicted.splice(evicted.end(), sh.lru, std::prev(sh.lru.end()));
       }
+      sh.evictions += evicted.size();
     }
-    sh.evictions += evicted;
-    // Copy-on-write publication; readers holding the old snapshot keep a
-    // consistent (merely stale) view until their shared_ptr drops.
-    sh.snapshot.store(std::make_shared<const Snapshot>(sh.map),
-                      std::memory_order_release);
   }
+  const std::int64_t delta =
+      (added ? 1 : 0) - static_cast<std::int64_t>(evicted.size());
   if (delta != 0)
     PL_GAUGE_SET("engine.cache.entries",
                  population_.fetch_add(delta, std::memory_order_relaxed) +
                      delta);
-  if (evicted > 0) PL_COUNT("engine.cache.evict", evicted);
+  if (!evicted.empty()) PL_COUNT("engine.cache.evict", evicted.size());
 }
 
 CacheStats FrontierCache::stats() const {
@@ -101,12 +93,12 @@ CacheStats FrontierCache::stats() const {
   s.shards.reserve(shards_.size());
   for (const auto& sh : shards_) {
     ShardStats ss;
-    ss.lock = sh->mu.stats();
-    ss.hits = sh->hits.load(std::memory_order_relaxed);
-    ss.misses = sh->misses.load(std::memory_order_relaxed);
+    ss.lock = sh->mu.stats();  // read before our own acquisition below
     {
       std::lock_guard<obs::TimedMutex> lock(sh->mu);
-      ss.entries = sh->map.size();
+      ss.entries = sh->lru.size();
+      ss.hits = sh->hits;
+      ss.misses = sh->misses;
       ss.evictions = sh->evictions;
     }
     s.hits += ss.hits;
@@ -120,9 +112,10 @@ CacheStats FrontierCache::stats() const {
 
 void FrontierCache::clear() {
   for (const auto& sh : shards_) {
+    Lru dropped;  // destroyed after the lock is released
     std::lock_guard<obs::TimedMutex> lock(sh->mu);
-    sh->map.clear();
-    sh->snapshot.store(nullptr, std::memory_order_release);
+    dropped.swap(sh->lru);
+    sh->index.clear();
   }
   population_.store(0, std::memory_order_relaxed);
   PL_GAUGE_SET("engine.cache.entries", 0);

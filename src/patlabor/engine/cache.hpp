@@ -9,31 +9,23 @@
 // which makes hash collisions harmless and enforces the determinism
 // contract for nets the symmetry argument does not cover.
 //
-// Concurrency: the key space is striped over shards, and the read path is
-// wait-free.  Each shard publishes an immutable copy-on-write snapshot of
-// its map through a std::atomic<std::shared_ptr>; find() acquire-loads the
-// snapshot and probes it without ever taking a lock, stamping the hit
-// node's recency tick with a relaxed atomic store.  The shard mutex is
-// touched only by insert/evict/clear, which rebuild the map under the lock
-// and release-publish a fresh snapshot.  Entries are immutable once
-// published (a key refresh makes a new node), so readers can never observe
-// a half-written frontier.  Racing inserts of the same key are benign
-// because the engine only ever inserts bit-identical values for a given
-// key — and for the same reason a miss needs no locked double-check:
+// Concurrency: the key space is striped over shards, each a plain LRU — a
+// recency-ordered list plus a key -> list-node index — behind one mutex.
+// find() and insert() are O(1) under their stripe's lock; evicted entries
+// are freed after the lock is released.  Racing inserts of the same key are
+// benign because the engine only ever inserts bit-identical values for a
+// given key — and for the same reason a miss needs no locked double-check:
 // recomputing is correct, just slower.
-//
-// Eviction is exact LRU via the recency ticks: every hit and insert draws
-// a fresh tick from a global counter, and a full shard evicts its
-// minimum-tick node (equivalent to the classic intrusive-list LRU, without
-// writes to shared list pointers on the read path).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "patlabor/geom/point.hpp"
@@ -55,7 +47,6 @@ struct CacheOptions {
 
 /// Per-stripe counters: population, hit/miss/eviction skew, and the
 /// stripe's lock-wait totals (all-zero lock stats under PATLABOR_OBS=OFF).
-/// Lock stats cover the write path only — reads are lock-free.
 struct ShardStats {
   std::size_t entries = 0;
   std::uint64_t hits = 0;
@@ -91,12 +82,11 @@ class FrontierCache {
 
   /// Copies the entry for (key, pins) out, bumping it to most-recent, or
   /// returns nullopt.  A key match with different pins is a miss.
-  /// Wait-free: probes the shard's published snapshot without locking.
   std::optional<CacheEntry> find(std::uint64_t key,
                                  const std::vector<geom::Point>& pins);
 
-  /// Inserts (or refreshes) the entry for `key`, evicting the least
-  /// recently used entry of the shard if it is full.
+  /// Inserts (or refreshes) the entry for `key` as most-recent, evicting
+  /// the least recently used entry of the shard if it is full.
   void insert(std::uint64_t key, CacheEntry entry);
 
   CacheStats stats() const;
@@ -105,31 +95,18 @@ class FrontierCache {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  /// One published cache record.  `entry` is immutable from publication
-  /// on; `tick` is the only mutable field (relaxed recency stamp).
-  struct Node {
-    CacheEntry entry;
-    mutable std::atomic<std::uint64_t> tick;
-    Node(CacheEntry e, std::uint64_t t) : entry(std::move(e)), tick(t) {}
-  };
-  /// The read-side view of a shard: an immutable key -> node map, replaced
-  /// wholesale on every mutation (copy-on-write).
-  using Snapshot = std::unordered_map<std::uint64_t,
-                                      std::shared_ptr<const Node>>;
+  /// Most recent first.
+  using Lru = std::list<std::pair<std::uint64_t, CacheEntry>>;
 
+  /// Everything but `mu` is guarded by `mu`, whose lock-wait accounting
+  /// rolls up into the engine.cache.lock.* counter family.
   struct Shard {
-    /// Write-path lock (insert/evict/clear); lock-wait accounting rolls up
-    /// into the engine.cache.lock.* counter family.
     obs::TimedMutex mu{"engine.cache.lock"};
-    /// Authoritative map, mutated under mu only.
-    Snapshot map;
-    /// Reader-facing publication of `map`; null means empty.  Readers
-    /// acquire-load, writers release-store a fresh copy.
-    std::atomic<std::shared_ptr<const Snapshot>> snapshot;
-    /// Read-path counters are lock-free too.
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::uint64_t evictions = 0;  // under mu
+    Lru lru;
+    std::unordered_map<std::uint64_t, Lru::iterator> index;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
   };
 
   Shard& shard_of(std::uint64_t key);
@@ -137,8 +114,6 @@ class FrontierCache {
   std::size_t capacity_;
   std::size_t per_shard_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Global recency clock: every hit and insert draws the next tick.
-  std::atomic<std::uint64_t> tick_{0};
   /// Approximate live population, mirrored into the engine.cache.entries
   /// gauge for the metrics exposition layer.
   std::atomic<std::int64_t> population_{0};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -140,23 +141,17 @@ RouteResponse Engine::route_patlabor(const geom::Net& net,
   // Exact-regime nets are routed in the canonical frame whether or not the
   // cache is on — this is what makes a later cache hit (which replays the
   // canonical-frame result) bit-identical to a miss.
-  const core::PatLaborResult result =
+  core::PatLaborResult result =
       core::patlabor(exact ? canon.net : net, patlabor_options(task_pool));
-
-  if (cache_enabled_) {
-    CacheEntry entry;
-    entry.pins = *entry_pins;
-    entry.frontier = result.frontier;
-    entry.trees = result.trees;
-    entry.iterations = result.iterations;
-    cache_.insert(key, std::move(entry));
-  }
 
   RouteResponse r;
   r.frontier = result.frontier;
   r.trees = exact ? map_back(result.trees, canon.to_canonical.inverse(), net)
                   : result.trees;
   r.iterations = result.iterations;
+  if (cache_enabled_)
+    cache_.insert(key, CacheEntry{*entry_pins, std::move(result.frontier),
+                                  std::move(result.trees), result.iterations});
   return r;
 }
 
@@ -226,15 +221,17 @@ RouteResponse Engine::route(const geom::Net& net,
 
 template <typename RequestAt>
 std::vector<RouteResponse> Engine::route_batch_impl(
-    std::span<const geom::Net> nets, RequestAt&& request_at) const {
+    std::span<const geom::Net> nets, RequestAt&& request_at,
+    std::vector<obs::NetEvent>* events_out) const {
   PL_SPAN("engine.route_batch");
   // One coarse task per net, sharded across the pool lanes with tail
   // stealing; a net's nested candidate evaluation runs inline on its
   // worker (inline_pool), so workers never block on nested batches and a
   // batch of N nets is exactly N scheduler tasks.
   par::ThreadPool& nested = par::inline_pool();
-  obs::EventSink* sink = event_sink();
-  if (sink == nullptr)
+  if (!obs::compiled_in()) events_out = nullptr;
+  obs::EventSink* sink = events_out != nullptr ? nullptr : event_sink();
+  if (events_out == nullptr && sink == nullptr)
     return par::parallel_transform_sharded(
         nets.size(),
         [&](std::size_t i) {
@@ -242,21 +239,28 @@ std::vector<RouteResponse> Engine::route_batch_impl(
         },
         pool());
 
-  // Per-worker events stream through an ordered flush so records land in
-  // the file in net order regardless of scheduling (or stealing).
-  par::OrderedSink<obs::NetEvent> ordered(
-      [sink](obs::NetEvent&& e) { sink->emit(e); });
+  // Collected events land in disjoint slots of the pre-sized vector (the
+  // caller owns emission order); streamed events go through an ordered
+  // flush so records land in the file in net order regardless of
+  // scheduling (or stealing).
+  std::optional<par::OrderedSink<obs::NetEvent>> ordered;
+  if (events_out != nullptr)
+    events_out->resize(nets.size());
+  else
+    ordered.emplace([sink](obs::NetEvent&& e) { sink->emit(e); });
   auto out = par::parallel_transform_sharded(
       nets.size(),
       [&](std::size_t i) {
-        obs::NetEvent event;
+        obs::NetEvent streamed;
+        obs::NetEvent& event =
+            events_out != nullptr ? (*events_out)[i] : streamed;
         event.index = i;
         RouteResponse r = route_impl(nets[i], request_at(i), &event, &nested);
-        ordered.put(i, std::move(event));
+        if (ordered) ordered->put(i, std::move(event));
         return r;
       },
       pool());
-  sink->flush();
+  if (sink != nullptr) sink->flush();
   return out;
 }
 
@@ -289,23 +293,9 @@ std::vector<RouteResponse> Engine::route_batch_collect(
         "route_batch_collect: " + std::to_string(nets.size()) + " nets but " +
         std::to_string(requests.size()) + " requests");
   events_out.clear();
-  if (!obs::compiled_in()) {
-    return route_batch_impl(nets, [&](std::size_t i) -> const RouteRequest& {
-      return requests[i];
-    });
-  }
-  // Pre-sized so workers write disjoint slots — no ordered funnel needed;
-  // the caller owns emission order.
-  PL_SPAN("engine.route_batch");
-  events_out.resize(nets.size());
-  par::ThreadPool& nested = par::inline_pool();
-  return par::parallel_transform_sharded(
-      nets.size(),
-      [&](std::size_t i) {
-        events_out[i].index = i;
-        return route_impl(nets[i], requests[i], &events_out[i], &nested);
-      },
-      pool());
+  return route_batch_impl(
+      nets, [&](std::size_t i) -> const RouteRequest& { return requests[i]; },
+      &events_out);
 }
 
 }  // namespace patlabor::engine

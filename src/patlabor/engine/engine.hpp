@@ -166,11 +166,15 @@ class Engine {
   RouteResponse route_impl(const geom::Net& net, const RouteRequest& request,
                            obs::NetEvent* event,
                            par::ThreadPool* task_pool) const;
-  /// Shared body of both route_batch overloads; `request_at(i)` yields the
-  /// i-th net's request (uniform or per-net).
+  /// The one batch loop behind route_batch and route_batch_collect;
+  /// `request_at(i)` yields the i-th net's request (uniform or per-net).
+  /// Events stream to the configured sink, or, when `events_out` is given,
+  /// fill it instead (resized to nets.size(); untouched under
+  /// PATLABOR_OBS=OFF).
   template <typename RequestAt>
-  std::vector<RouteResponse> route_batch_impl(std::span<const geom::Net> nets,
-                                              RequestAt&& request_at) const;
+  std::vector<RouteResponse> route_batch_impl(
+      std::span<const geom::Net> nets, RequestAt&& request_at,
+      std::vector<obs::NetEvent>* events_out = nullptr) const;
   RouteResponse route_patlabor(const geom::Net& net, obs::NetEvent* event,
                                par::ThreadPool* task_pool) const;
   core::PatLaborOptions patlabor_options(par::ThreadPool* task_pool) const;

@@ -46,9 +46,11 @@ void Histogram::reset() noexcept {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
 }
 
+// Immortal, like the trace registry: pool workers may still count while
+// static destruction runs at exit.
 StatsRegistry& StatsRegistry::instance() {
-  static StatsRegistry r;
-  return r;
+  static StatsRegistry* r = new StatsRegistry;
+  return *r;
 }
 
 Counter& StatsRegistry::counter(std::string_view name) {

@@ -27,9 +27,11 @@ struct BufRegistry {
   std::uint32_t next_tid = 1;
 };
 
+// Immortal: pool workers may still register trace lanes while static
+// destruction runs at exit, so the registry is never destroyed.
 BufRegistry& buf_registry() {
-  static BufRegistry r;
-  return r;
+  static BufRegistry* r = new BufRegistry;
+  return *r;
 }
 
 ThreadBuf& local_buf() {

@@ -18,7 +18,7 @@
 //   Amdahl   S(N) = 1 / (s + (1-s)/N)            (serial fraction s)
 //   USL      S(N) = N / (1 + a(N-1) + kN(N-1))   (contention a, coherency k)
 //
-// Two gates run over the ingested sweep:
+// Three gates run over the ingested sweep:
 //
 // Attribution gate (always on) — about well-formedness, not speed; a
 // 1-core box legitimately shows no speedup, but the telemetry must still
@@ -26,8 +26,9 @@
 //   * recomputed categories match the recorded ones,
 //   * every category is non-negative,
 //   * |residual| <= max(tol * wall, 10 ms)  (default tol 0.10),
-//   * max worker busy <= batch wall (+tol), batch wall <= wall (+tol),
-//   * identical_across_jobs is not false (determinism held in the sweep).
+//   * max worker busy <= batch wall (+tol), batch wall <= wall (+tol).
+//
+// Determinism gate (always on): identical_across_jobs is not false.
 //
 // Speedup gate (enforced only when the JSON records workload "large" AND
 // host_cores >= 4; WAIVED otherwise) — the perf regression bar:
@@ -36,9 +37,10 @@
 //     regresses; the 5% slack absorbs oversubscription noise on exactly-
 //     4-core hosts).
 //
-// Exit codes (consumed by scripts/verify.sh):
+// Each of the three verdicts (attribution, determinism, speedup) is printed
+// on its own line.  Exit codes (consumed by scripts/verify.sh):
 //   0  all enforced gates pass
-//   1  attribution malformed or speedup bar missed
+//   1  attribution malformed, determinism violated or speedup bar missed
 //   2  usage error or unreadable/malformed input
 #include <algorithm>
 #include <cmath>
@@ -235,7 +237,8 @@ int main(int argc, char** argv) {
                 "serial%", "exec%", "imbal%", "lock%", "resid%", "speedup");
   }
 
-  bool ok = true;
+  // Three independent verdicts, each printed; any failure exits 1.
+  bool attribution_ok = true;
   std::vector<double> jobs, speedup;
   const double wall1 = pts.front().wall_us;
   for (const Point& p : pts) {
@@ -261,25 +264,25 @@ int main(int argc, char** argv) {
       std::printf("FAIL jobs=%g: recorded decomposition disagrees with raw "
                   "telemetry\n",
                   p.jobs);
-      ok = false;
+      attribution_ok = false;
     }
     // Attribution well-formedness.
     if (std::fabs(p.residual_us) > slack) {
       std::printf("FAIL jobs=%g: residual %.0fus exceeds %.0fus "
                   "(unattributed wall)\n",
                   p.jobs, p.residual_us, slack);
-      ok = false;
+      attribution_ok = false;
     }
     if (p.busy_max > p.batch_wall_us * (1.0 + tol) + slack) {
       std::printf("FAIL jobs=%g: max worker busy %.0fus exceeds batch wall "
                   "%.0fus\n",
                   p.jobs, p.busy_max, p.batch_wall_us);
-      ok = false;
+      attribution_ok = false;
     }
     if (p.batch_wall_us > wall * (1.0 + tol) + slack) {
       std::printf("FAIL jobs=%g: batch wall %.0fus exceeds wall %.0fus\n",
                   p.jobs, p.batch_wall_us, wall);
-      ok = false;
+      attribution_ok = false;
     }
 
     jobs.push_back(p.jobs);
@@ -292,11 +295,9 @@ int main(int argc, char** argv) {
                   wall1 / wall);
   }
 
-  if (!identical) {
+  if (!identical)
     std::printf("FAIL: sweep recorded a determinism violation "
                 "(identical_across_jobs = false)\n");
-    ok = false;
-  }
 
   // Speedup gate.  Only the calibrated 10k-net workload on a host wide
   // enough to express the parallelism is held to the bar; anything else
@@ -307,27 +308,21 @@ int main(int argc, char** argv) {
     return -1.0;
   };
   const double s4 = speedup_at(4), s8 = speedup_at(8);
-  if (workload == "large" && host_cores >= 4) {
+  const bool speedup_enforced = workload == "large" && host_cores >= 4;
+  bool speedup_ok = true;
+  if (speedup_enforced) {
     if (s4 < min_speedup) {
       std::printf("FAIL: speedup %.2f at jobs=4 is below the %.2f bar "
                   "(workload \"large\", %g host cores)\n",
                   s4, min_speedup, host_cores);
-      ok = false;
+      speedup_ok = false;
     }
     if (s8 >= 0 && s4 >= 0 && s8 < 0.95 * s4) {
       std::printf("FAIL: speedup regresses from %.2f at jobs=4 to %.2f at "
                   "jobs=8 (allowed slack 5%%)\n",
                   s4, s8);
-      ok = false;
+      speedup_ok = false;
     }
-    if (ok && !quiet)
-      std::printf("speedup gate PASS: %.2f at jobs=4 (bar %.2f), %.2f at "
-                  "jobs=8\n",
-                  s4, min_speedup, s8);
-  } else if (!quiet) {
-    std::printf("speedup gate WAIVED: workload \"%s\", %g host cores "
-                "(enforced only for workload \"large\" on >=4-core hosts)\n",
-                workload.empty() ? "unknown" : workload.c_str(), host_cores);
   }
 
   if (!quiet) {
@@ -342,7 +337,19 @@ int main(int argc, char** argv) {
     std::printf("hot stripe: max cache-shard lock wait %.0fus "
                 "(of %.0fus total) at jobs=%g\n",
                 last.shard_wait_max, last.cache_wait_us, last.jobs);
-    std::printf("\nattribution %s\n", ok ? "OK" : "MALFORMED");
+    std::printf("\nattribution %s\n", attribution_ok ? "OK" : "MALFORMED");
+    std::printf("determinism %s\n", identical ? "OK" : "VIOLATED");
+    if (!speedup_enforced)
+      std::printf("speedup gate WAIVED: workload \"%s\", %g host cores "
+                  "(enforced only for workload \"large\" on >=4-core hosts)\n",
+                  workload.empty() ? "unknown" : workload.c_str(), host_cores);
+    else if (s8 >= 0)
+      std::printf("speedup gate %s: %.2f at jobs=4 (bar %.2f), %.2f at "
+                  "jobs=8\n",
+                  speedup_ok ? "PASS" : "FAIL", s4, min_speedup, s8);
+    else
+      std::printf("speedup gate %s: %.2f at jobs=4 (bar %.2f)\n",
+                  speedup_ok ? "PASS" : "FAIL", s4, min_speedup);
   }
-  return ok ? 0 : 1;
+  return attribution_ok && identical && speedup_ok ? 0 : 1;
 }
