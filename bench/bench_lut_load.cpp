@@ -1,33 +1,21 @@
-// bench_lut_load — cost of attaching an on-disk lookup table, heap parse
-// vs. mmap zero-copy, plus the cross-process page-sharing demonstration.
+// bench_lut_load — cost of attaching an on-disk lookup table
+// (LookupTable::open: map + checksum verification) and the cross-process
+// page-sharing demonstration.
 //
-// Every measurement runs in a forked child so each load starts from a
+// Every measurement runs in a forked child so each open starts from a
 // clean address space (the parent creates no threads before forking):
 //
-//   child A  heap-loads the degree-6 table (LookupTable::load: copy +
-//            checksum + full record walk), routes a fixed net set, reports
-//            load wall + VmHWM;
-//   child B  mmap-loads the same file (LookupTable::load_mmap), touches
-//            every page, routes the same nets, then stays alive;
-//   child C  mmap-loads while B still holds the mapping, and reads its own
-//            /proc/self/smaps for the table's regions: with B resident,
-//            C's pages are Shared_Clean and its private footprint is ~0 —
-//            the "second process costs no table RSS" contract.
+//   child B  opens the degree-6 table, touches every page, routes a fixed
+//            net set, then stays alive;
+//   child C  opens the same file while B still holds the mapping, and
+//            reads its own /proc/self/smaps for the table's regions: with
+//            B resident, C's pages are Shared_Clean and its private
+//            footprint is ~0 — the "second process costs no table RSS"
+//            contract.
 //
-// The real degree-6 table is only ~0.13 MB — small enough that the mmap
-// syscall floor (~5 us) caps any measured ratio near the noise band.  The
-// attach-time gate therefore runs on a *stress copy*: the same degree-6
-// content replicated by TableIo::write_scaled_copy to the file size a
-// λ = 9-scale table would have.  Children D (heap) / E (mmap) load it:
-//
-//   child D  heap-parses the stress table;
-//   child E  mmap-attaches it.
-//
-// Gates (exit 1): children A/B/C must agree on content_hash and produce
-// byte-identical route outputs; D/E must agree on the stress table's
-// content_hash; E's attach must be >= 10x faster than D's heap parse;
-// child C's private mapping footprint must be ~0.  Results land in
-// BENCH_lut_load.json.
+// Gates (exit 1): children B and C must agree on content_hash and produce
+// byte-identical route outputs, and child C's private mapping footprint
+// must be ~0.  Results land in BENCH_lut_load.json.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -35,7 +23,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -117,7 +104,7 @@ void route_to_file(const lut::LookupTable& table,
 
 /// The measured body of one child.  `hold_fd`/`release_fd`: child B's
 /// handshake pipes (B signals readiness, then blocks until released).
-int child_main(bool use_mmap, const std::string& table_path,
+int child_main(const std::string& table_path,
                const std::vector<geom::Net>& nets,
                const std::string& route_path, int result_fd, int hold_fd,
                int release_fd, bool measure_smaps) {
@@ -127,29 +114,23 @@ int child_main(bool use_mmap, const std::string& table_path,
     double best = 1e30;
     for (int i = 0; i < kReps; ++i) {
       util::Timer t;
-      lut::LookupTable table = use_mmap
-                                   ? lut::LookupTable::load_mmap(table_path)
-                                   : lut::LookupTable::load(table_path);
+      lut::LookupTable table = lut::LookupTable::open(table_path);
       best = std::min(best, t.seconds());
     }
     res.load_wall = best;
-    lut::LookupTable table = use_mmap
-                                 ? lut::LookupTable::load_mmap(table_path)
-                                 : lut::LookupTable::load(table_path);
+    lut::LookupTable table = lut::LookupTable::open(table_path);
     res.content_hash = table.content_hash();
     route_to_file(table, nets, route_path);
 
     // Touch every page of the file so the cross-process sharing is visible
     // in smaps (page-cache pages mapped by two processes show as
     // Shared_Clean in both).
-    std::unique_ptr<lut::MmapFile> touch;
-    if (use_mmap) {
-      touch = std::make_unique<lut::MmapFile>(table_path);
-      const auto bytes = touch->bytes();
-      volatile std::uint8_t sink = 0;
-      for (std::size_t i = 0; i < bytes.size(); i += 4096) sink += bytes[i];
-      (void)sink;
-    }
+    const lut::MmapFile touch(table_path);
+    const auto bytes = touch.bytes();
+    std::uint8_t sum = 0;
+    for (std::size_t i = 0; i < bytes.size(); i += 4096) sum += bytes[i];
+    volatile std::uint8_t sink = sum;
+    (void)sink;
 
     const auto storage = table.storage();
     res.mapped_bytes = storage.bytes;
@@ -185,7 +166,7 @@ struct Child {
   }
 };
 
-Child spawn(bool use_mmap, const std::string& table_path,
+Child spawn(const std::string& table_path,
             const std::vector<geom::Net>& nets, const std::string& route_path,
             int hold_fd = -1, int release_fd = -1,
             bool measure_smaps = false) {
@@ -195,7 +176,7 @@ Child spawn(bool use_mmap, const std::string& table_path,
   if (pid < 0) throw std::runtime_error("fork() failed");
   if (pid == 0) {
     ::close(pipefd[0]);
-    ::_exit(child_main(use_mmap, table_path, nets, route_path, pipefd[1],
+    ::_exit(child_main(table_path, nets, route_path, pipefd[1],
                        hold_fd, release_fd, measure_smaps));
   }
   ::close(pipefd[1]);
@@ -229,7 +210,7 @@ int main() {
   bool have = false;
   try {
     const lut::TableFileReport rep = lut::inspect_table_file(table_path);
-    have = rep.version >= 2 && !rep.checkpoint && rep.max_degree >= degree;
+    have = !rep.checkpoint && rep.max_degree >= degree;
   } catch (const std::exception&) {
   }
   if (!have) {
@@ -254,29 +235,6 @@ int main() {
     }
   }
 
-  // Stress copy: degree-6 content scaled to the file size a λ = 9-scale
-  // table would have, so attach time is measured where the heap-vs-mmap
-  // asymmetry matters (the real file is too small to out-measure the
-  // ~5 us mmap syscall floor).  write_scaled_copy creates no threads, so
-  // building it inline keeps the later measurement forks safe.
-  const std::string stress_path = bench::out_path("patlabor_lut_stress.bin");
-  const std::uint64_t stress_bytes =
-      static_cast<std::uint64_t>(bench::env_int("PATLABOR_LUT_STRESS_MB", 8)) *
-      1000 * 1000;
-  bool have_stress = false;
-  try {
-    const lut::TableFileReport rep = lut::inspect_table_file(stress_path);
-    have_stress =
-        rep.version >= 2 && !rep.checkpoint && rep.file_size >= stress_bytes;
-  } catch (const std::exception&) {
-  }
-  if (!have_stress) {
-    std::printf("[setup] scaling the table to a %.0f MB stress copy...\n",
-                static_cast<double>(stress_bytes) / 1e6);
-    std::fflush(stdout);
-    lut::TableIo::write_scaled_copy(table_path, stress_path, stress_bytes);
-  }
-
   // Deterministic net set covering every table degree.
   std::vector<geom::Net> nets;
   util::Rng rng(77);
@@ -287,19 +245,16 @@ int main() {
       nets.push_back(std::move(net));
     }
 
-  const std::string heap_csv = bench::out_path("lut_load_route_heap.txt");
   const std::string mmap_csv = bench::out_path("lut_load_route_mmap.txt");
   const std::string mmap2_csv = bench::out_path("lut_load_route_mmap2.txt");
 
-  // Child A: heap parse.
-  ChildResult heap = spawn(false, table_path, nets, heap_csv).join();
-  // Child B: mmap, held alive while child C maps the same file.
+  // Child B: held alive while child C maps the same file.
   int hold[2], release[2];
   if (::pipe(hold) != 0 || ::pipe(release) != 0) {
     std::fprintf(stderr, "pipe() failed\n");
     return 1;
   }
-  Child b = spawn(true, table_path, nets, mmap_csv, hold[1], release[0]);
+  Child b = spawn(table_path, nets, mmap_csv, hold[1], release[0]);
   char byte = 0;
   if (::read(hold[0], &byte, 1) != 1) {
     std::fprintf(stderr, "child B failed before mapping\n");
@@ -307,97 +262,45 @@ int main() {
   }
   // Child C: concurrent second process, smaps-measured.
   ChildResult shared =
-      spawn(true, table_path, nets, mmap2_csv, -1, -1, true).join();
+      spawn(table_path, nets, mmap2_csv, -1, -1, true).join();
   (void)!::write(release[1], &byte, 1);
   ChildResult mm = b.join();
 
-  // Children D/E: the >= 10x attach gate, on the paper-scale stress copy.
-  const std::vector<geom::Net> no_nets;
-  ChildResult stress_heap =
-      spawn(false, stress_path, no_nets,
-            bench::out_path("lut_load_route_stress_heap.txt"))
-          .join();
-  ChildResult stress_mm =
-      spawn(true, stress_path, no_nets,
-            bench::out_path("lut_load_route_stress_mmap.txt"))
-          .join();
-
-  if (!heap.ok || !mm.ok || !shared.ok || !stress_heap.ok || !stress_mm.ok) {
+  if (!mm.ok || !shared.ok) {
     std::fprintf(stderr, "FAIL: a measurement child failed\n");
     return 1;
   }
 
-  const double speedup =
-      mm.load_wall > 0 ? heap.load_wall / mm.load_wall : 0.0;
-  const double stress_speedup = stress_mm.load_wall > 0
-                                    ? stress_heap.load_wall / stress_mm.load_wall
-                                    : 0.0;
-  std::printf("heap  load %8.3f ms  VmHWM %8" PRIu64 " kB  hash %016llx\n",
-              heap.load_wall * 1e3, heap.vmhwm_kb,
-              static_cast<unsigned long long>(heap.content_hash));
-  std::printf("mmap  load %8.3f ms  VmHWM %8" PRIu64 " kB  hash %016llx  "
-              "(%.1fx faster, %.2f MB mapped)\n",
+  std::printf("open  %8.3f ms  VmHWM %8" PRIu64 " kB  hash %016llx  "
+              "(%.2f MB mapped)\n",
               mm.load_wall * 1e3, mm.vmhwm_kb,
-              static_cast<unsigned long long>(mm.content_hash), speedup,
+              static_cast<unsigned long long>(mm.content_hash),
               static_cast<double>(mm.mapped_bytes) / 1e6);
-  std::printf("mmap2 concurrent process: table Rss %" PRIu64 " kB, Pss %"
-              PRIu64 " kB, Shared_Clean %" PRIu64 " kB, private %" PRIu64
-              " kB\n",
+  std::printf("concurrent process: table Rss %" PRIu64 " kB, Pss %" PRIu64
+              " kB, Shared_Clean %" PRIu64 " kB, private %" PRIu64 " kB\n",
               shared.rss_kb, shared.pss_kb, shared.shared_clean_kb,
               shared.private_kb);
-  std::printf("stress table (%.1f MB, scaled degree-%d content):\n",
-              static_cast<double>(stress_mm.mapped_bytes) / 1e6, degree);
-  std::printf("  heap  load %8.3f ms  hash %016llx\n",
-              stress_heap.load_wall * 1e3,
-              static_cast<unsigned long long>(stress_heap.content_hash));
-  std::printf("  mmap  load %8.3f ms  hash %016llx  (%.1fx faster)\n",
-              stress_mm.load_wall * 1e3,
-              static_cast<unsigned long long>(stress_mm.content_hash),
-              stress_speedup);
 
   bench::BenchJsonWriter json("lut_load");
-  json.add_run("heap", 1, heap.load_wall, nets.size(),
-               {{"vmhwm_kb", static_cast<double>(heap.vmhwm_kb)}});
   json.add_run("mmap", 1, mm.load_wall, nets.size(),
                {{"vmhwm_kb", static_cast<double>(mm.vmhwm_kb)},
                 {"mapped_bytes", static_cast<double>(mm.mapped_bytes)},
-                {"resident_bytes", static_cast<double>(mm.resident_bytes)},
-                {"speedup_vs_heap", speedup}});
+                {"resident_bytes", static_cast<double>(mm.resident_bytes)}});
   json.add_run("mmap_concurrent", 2, shared.load_wall, nets.size(),
                {{"table_rss_kb", static_cast<double>(shared.rss_kb)},
                 {"table_pss_kb", static_cast<double>(shared.pss_kb)},
                 {"table_shared_clean_kb",
                  static_cast<double>(shared.shared_clean_kb)},
                 {"table_private_kb", static_cast<double>(shared.private_kb)}});
-  json.add_run("heap_stress", 1, stress_heap.load_wall, 0,
-               {{"vmhwm_kb", static_cast<double>(stress_heap.vmhwm_kb)}});
-  json.add_run("mmap_stress", 1, stress_mm.load_wall, 0,
-               {{"mapped_bytes", static_cast<double>(stress_mm.mapped_bytes)},
-                {"speedup_vs_heap", stress_speedup}});
   json.write();
 
   bool pass = true;
-  if (heap.content_hash != mm.content_hash ||
-      heap.content_hash != shared.content_hash) {
-    std::fprintf(stderr, "FAIL: content_hash differs across backends\n");
+  if (mm.content_hash != shared.content_hash) {
+    std::fprintf(stderr, "FAIL: content_hash differs across processes\n");
     pass = false;
   }
-  if (!files_identical(heap_csv, mmap_csv) ||
-      !files_identical(heap_csv, mmap2_csv)) {
-    std::fprintf(stderr, "FAIL: route outputs differ across backends\n");
-    pass = false;
-  }
-  if (stress_heap.content_hash != stress_mm.content_hash) {
-    std::fprintf(stderr,
-                 "FAIL: stress table content_hash differs across backends\n");
-    pass = false;
-  }
-  if (stress_speedup < 10.0) {
-    std::fprintf(stderr,
-                 "FAIL: mmap attach only %.1fx faster than heap parse on the "
-                 "%.1f MB stress table (gate: >= 10x)\n",
-                 stress_speedup,
-                 static_cast<double>(stress_mm.mapped_bytes) / 1e6);
+  if (!files_identical(mmap_csv, mmap2_csv)) {
+    std::fprintf(stderr, "FAIL: route outputs differ across processes\n");
     pass = false;
   }
   // With child B holding the mapping, the second process's pages are

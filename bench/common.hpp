@@ -81,11 +81,11 @@ inline void emit_obs_report(const std::string& stem) {
               events.size());
 }
 
-/// Lookup table up to `max_degree`, loaded from the cache when the cached
-/// table is deep enough, regenerated (and re-cached) otherwise.
+/// Lookup table up to `max_degree`, opened from the cache file when the
+/// cached table is deep enough, regenerated (and re-cached) otherwise.
 inline lut::LookupTable cached_lut(int max_degree) {
   try {
-    lut::LookupTable t = lut::LookupTable::load(lut_cache_path());
+    lut::LookupTable t = lut::LookupTable::open(lut_cache_path());
     if (t.max_degree() >= max_degree) return t;
   } catch (const std::exception&) {
     // fall through to regeneration

@@ -5,11 +5,13 @@
 # jobs sweep -> patlabor_scaling must account for the wall clock AND clear
 # the speedup bar on >=4-core hosts; auto-waived on narrower machines),
 # the obsdiff regression gate (two-run self-compare + perturbed-seed
-# failure path, under PATLABOR_OBS ON and OFF builds), the metric-catalog
+# failure path, under PATLABOR_OBS ON and OFF builds; the OFF build also
+# runs the obs, event, CLI-trace and serve tests), the metric-catalog
 # lint (every registered metric name documented in DESIGN.md §6.2), the
-# LUT storage gates (mmap vs heap byte-identity, kill-and-resume lutgen
-# hash match, the bench_lut_load attach-speed + page-sharing bars, two
-# concurrent daemons on one mmap'd table), the
+# LUT storage gates (routing through a mapped table byte-identical to
+# routing without one, kill-and-resume lutgen hash match, the
+# bench_lut_load page-sharing bar, two concurrent daemons on one mapped
+# table), the
 # daemon smoke gate (patlabord serving two concurrent clients whose CSVs
 # must be byte-identical to a direct patlabor_cli route, nonzero serve.*
 # metrics, the stats wire frame, a SIGQUIT flight-recorder dump, then a
@@ -193,20 +195,21 @@ serve_obsdiff() {
   rm -rf "$dir"
 }
 
-# LUT storage gate (quick part): one table file must answer identically
-# through every backend — mmap-by-default routing vs the forced heap
-# parse — and `lut info` must agree with itself on the content hash.
+# LUT storage gate (quick part): routing through a mapped table file must
+# answer byte-identically to routing without one (the exact numeric DW
+# answers these degree-5 nets), and `lut info` must agree with itself on
+# the content hash.
 lut_storage_gate() {
-  echo "== lut storage: mmap vs heap parse byte-identical + hash agreement =="
+  echo "== lut storage: --lut routing == table-free routing + hash agreement =="
   local dir
   dir="$(mktemp -d)"
   ./build/tools/patlabor_cli lutgen 5 "$dir/t.bin" > /dev/null
   ./build/tools/patlabor_cli gen clustered 24 5 "$dir/nets.nets" 11 > /dev/null
   ./build/tools/patlabor_cli route "$dir/nets.nets" --lut "$dir/t.bin" \
-    --csv "$dir/mmap.csv" > /dev/null
-  ./build/tools/patlabor_cli route "$dir/nets.nets" --lut "$dir/t.bin" \
-    --lut-heap --csv "$dir/heap.csv" > /dev/null
-  cmp "$dir/mmap.csv" "$dir/heap.csv"
+    --csv "$dir/lut.csv" > /dev/null
+  ./build/tools/patlabor_cli route "$dir/nets.nets" \
+    --csv "$dir/dw.csv" > /dev/null
+  cmp "$dir/lut.csv" "$dir/dw.csv"
   ./build/tools/patlabor_cli lut info "$dir/t.bin" > "$dir/info.txt"
   if grep -q 'MISMATCH' "$dir/info.txt"; then
     echo "lut info: stored/computed content hash disagree"
@@ -219,8 +222,8 @@ lut_storage_gate() {
 # LUT storage gate (full parts): a lutgen killed mid-degree (deterministic
 # abort hook, exit 75) resumed from its checkpoint must produce a
 # content_hash-identical file; and two concurrent patlabord processes
-# serving the same mmap'd degree-6 table must both answer byte-identically
-# to a direct engine route over that table.
+# serving the same mapped degree-6 table (generated here, ~6 s on 4 cores)
+# must both answer byte-identically to a direct engine route over it.
 lut_resume_gate() {
   echo "== lut checkpoint: kill-and-resume lutgen hash-matches single-shot =="
   local dir rc hash_once hash_resumed
@@ -253,10 +256,11 @@ lut_resume_gate() {
 }
 
 lut_daemon_share_gate() {
-  echo "== lut sharing: 2 daemons on one mmap'd table == direct engine =="
+  echo "== lut sharing: 2 daemons on one mapped table == direct engine =="
   local dir table d1 d2 rc
   dir="$(mktemp -d)"
-  table="$bench_out/patlabor_lut_cache.bin"  # built by bench_lut_load
+  table="$dir/t.bin"
+  ./build/tools/patlabor_cli lutgen 6 "$table" > /dev/null
   ./build/tools/patlabor_cli gen uniform 12 6 "$dir/nets.nets" 7 > /dev/null
   ./build/tools/patlabor_cli route "$dir/nets.nets" --lut "$table" \
     --csv "$dir/direct.csv" > /dev/null
@@ -321,7 +325,7 @@ serve_obsdiff
 lut_storage_gate
 lut_resume_gate
 
-echo "== lut storage bench: heap vs mmap attach + cross-process sharing =="
+echo "== lut storage bench: open cost + cross-process page sharing =="
 (cd build/bench && PATLABOR_BENCH_OUT="$bench_out" ./bench_lut_load)
 
 lut_daemon_share_gate
@@ -365,12 +369,13 @@ echo "== PATLABOR_OBS=OFF: no-op stubs, telemetry degrades gracefully =="
 cmake -B build-noobs -S . -G Ninja -DPATLABOR_OBS=OFF
 cmake --build build-noobs -j \
   --target patlabor_cli patlabor_obsdiff test_obs test_metrics test_events \
-  test_cli_trace
+  test_cli_trace test_serve
 (
   cd build-noobs
   ./tests/test_obs
   ./tests/test_metrics
   ./tests/test_events
+  ./tests/test_serve
   ./tests/test_cli_trace ./tools/patlabor_cli ./tools/patlabor_obsdiff
   # --events still writes a manifest, but no net records: obsdiff must
   # report the runs as incomparable (exit 3), not crash or pass.

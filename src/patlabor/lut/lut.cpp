@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <numeric>
 
 #include "patlabor/dw/pareto_dw.hpp"
@@ -232,8 +229,8 @@ std::uint64_t LookupTable::content_hash() const {
   // FNV-1a over (code, topology bytes) of every entry, combined
   // commutatively (sum) so storage order is irrelevant.  The same digest
   // is computed by lut_format over on-disk sections (hash_section_entries)
-  // — equal results across heap, mmap and resumed tables are the storage
-  // contract.
+  // — equal results across generated, opened and resumed tables are the
+  // storage contract.
   std::uint64_t combined = kContentHashInit;
   for (const auto& [degree, slice] : slices_) {
     (void)degree;
@@ -246,31 +243,10 @@ void LookupTable::save(const std::string& path) const {
   TableIo::save(*this, path);
 }
 
-LookupTable LookupTable::load(const std::string& path) {
-  LookupTable lut = TableIo::load(path);
+LookupTable LookupTable::open(const std::string& path) {
+  LookupTable lut = TableIo::open(path);
   lut.storage();  // publish the lut.storage.* gauges
   return lut;
-}
-
-LookupTable LookupTable::load_mmap(const std::string& path) {
-  LookupTable lut = TableIo::load_mmap(path);
-  lut.storage();
-  return lut;
-}
-
-LookupTable LookupTable::open(const std::string& path) {
-  // v2 files are mapped (zero-copy, shared across processes); legacy v1
-  // stream files fall back to the heap conversion path.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr)
-    throw FormatError("cannot open " + path + ": " + std::strerror(errno));
-  char magic[8] = {};
-  const std::size_t got = std::fread(magic, 1, sizeof magic, f);
-  std::fclose(f);
-  if (got == sizeof magic &&
-      std::memcmp(magic, kMagicV1, sizeof magic) == 0)
-    return load(path);
-  return load_mmap(path);
 }
 
 LookupTable::StorageInfo LookupTable::storage() const {

@@ -10,15 +10,16 @@
 //
 // Storage is an immutable flat layout (table_storage.hpp): per degree, a
 // sorted index of canonical codes with {offset, count, nbytes} spans into
-// one contiguous topology blob.  The same bytes serve three backends:
-//   * heap   — owned buffers, produced by generate() or load();
-//   * mmap   — load_mmap()/open() map a format-v2 file (lut_format.hpp,
-//              DESIGN.md §13) read-only and query() serves straight from
-//              the page cache with zero deserialization, so N processes
-//              share one physical copy of the table;
-//   * resume — generate() checkpoints partial flat sections periodically
-//              (atomic tmp+rename) and --resume continues a killed run,
-//              producing a content_hash-identical table.
+// one contiguous topology blob.  The same bytes live in two places:
+//   * memory — owned buffers, produced by generate();
+//   * file   — open() is the one way to attach a saved table: it maps the
+//              format-v2 file (lut_format.hpp, DESIGN.md §13) read-only,
+//              verifies every section's checksums, and query() serves
+//              straight from the page cache with zero deserialization, so
+//              N processes share one physical copy of the table.
+// generate() can also checkpoint partial flat sections periodically
+// (atomic tmp+rename) so --resume continues a killed run, producing a
+// content_hash-identical table.
 #pragma once
 
 #include <cstdint>
@@ -124,34 +125,31 @@ class LookupTable {
   /// Order-independent digest of the table content (codes + topologies;
   /// generation timings excluded).  Equal digests across --jobs settings
   /// are the determinism contract of parallel generation; equal digests
-  /// across heap / mmap / resumed storage paths are the contract of the
-  /// flat layout (verify.sh storage gate).
+  /// across generated / saved-and-opened / resumed tables are the
+  /// contract of the flat layout (verify.sh storage gate).
   std::uint64_t content_hash() const;
 
   /// Saves in format v2 (lut_format.hpp, DESIGN.md §13), atomically
   /// (tmp + rename).
   void save(const std::string& path) const;
 
-  /// Loads into owned heap buffers.  Accepts v2 and (via a conversion
-  /// path) legacy v1 files; verifies v2 section checksums.
-  static LookupTable load(const std::string& path);
-
-  /// Maps a v2 file read-only and serves queries from the mapping with
-  /// zero deserialization.  The file must outlive the table (and any
-  /// copy of it).  Throws on v1 files — convert with load()+save().
-  static LookupTable load_mmap(const std::string& path);
-
-  /// load_mmap() for v2 files, load() for v1: the default way to attach
-  /// an on-disk table (patlabord, patlabor_cli route --lut).
+  /// The one way to attach a saved table (patlabord, patlabor_cli route
+  /// --lut, the benches): maps the v2 file read-only, verifies each
+  /// section's checksums and index order, and serves queries from the
+  /// mapping with zero deserialization.  Every failure — missing, empty,
+  /// truncated, corrupt, a checkpoint, a retired v1 file — is a
+  /// FormatError naming the path.  While a table is open, replace its file
+  /// only by rename (as save() does), never by rewriting it in place.
   static LookupTable open(const std::string& path);
 
+  /// kHeap: generated in memory; kMmap: opened from a file.
   enum class StorageBackend { kHeap, kMmap };
   struct StorageInfo {
     StorageBackend backend = StorageBackend::kHeap;
     /// Flat index+blob bytes (owned) or the whole mapping (mmap).
     std::uint64_t bytes = 0;
-    /// Physically resident estimate: == bytes for heap, mincore() count
-    /// for mmap (grows as queries touch pages).
+    /// Physically resident estimate: == bytes in memory, mincore() count
+    /// for a mapping (grows as queries touch pages).
     std::uint64_t resident_bytes = 0;
   };
   /// Reports the storage backend and refreshes the lut.storage.* gauges.
@@ -178,7 +176,7 @@ class LookupTable {
 
   std::map<int, Slice> slices_;
   std::map<int, DegreeStats> stats_;
-  /// Keeps the mapping alive for mmap-backed slices; null for heap tables.
+  /// Keeps the mapping alive for opened tables; null for generated ones.
   std::shared_ptr<const MmapFile> mapping_;
   /// Error-message context: the source path, or "<generated>".
   std::string origin_ = "<generated>";

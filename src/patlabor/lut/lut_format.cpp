@@ -1,6 +1,6 @@
-// Container I/O for lookup tables: the format v2 writer/loaders, the v1
-// conversion + streaming-inspection paths, and checkpoint containers.
-// Byte-level layout: DESIGN.md §13.
+// Container I/O for lookup tables: the format v2 writer, the one mapped
+// loader, checkpoint containers and `lut info` inspection.  Byte-level
+// layout: DESIGN.md §13.
 #include "patlabor/lut/lut_format.hpp"
 
 #include <sys/stat.h>
@@ -25,12 +25,6 @@ std::uint64_t align_up(std::uint64_t v) {
   return (v + kSectionAlign - 1) & ~(kSectionAlign - 1);
 }
 
-std::string hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 std::span<const std::uint8_t> byte_span(const void* p, std::size_t n) {
   return {static_cast<const std::uint8_t*>(p), n};
 }
@@ -49,49 +43,6 @@ DegreeStats stats_of(const SectionEntry& sec) {
   st.bytes = sec.bytes;
   return st;
 }
-
-// ---------------------------------------------------------------------------
-// Streaming reader: the v1 conversion/inspection path.  Tracks the byte
-// offset so truncation errors name the exact position.
-
-class StreamReader {
- public:
-  explicit StreamReader(const std::string& path)
-      : path_(path), f_(std::fopen(path.c_str(), "rb")) {
-    if (f_ == nullptr)
-      throw FormatError("cannot open " + path + ": " + std::strerror(errno));
-    std::fseek(f_, 0, SEEK_END);
-    const long sz = std::ftell(f_);
-    size_ = sz > 0 ? static_cast<std::uint64_t>(sz) : 0;
-    std::fseek(f_, 0, SEEK_SET);
-  }
-  ~StreamReader() {
-    if (f_ != nullptr) std::fclose(f_);
-  }
-  StreamReader(const StreamReader&) = delete;
-  StreamReader& operator=(const StreamReader&) = delete;
-
-  template <typename T>
-  T get(const char* what) {
-    T v{};
-    get_bytes(&v, sizeof v, what);
-    return v;
-  }
-  void get_bytes(void* p, std::size_t len, const char* what) {
-    if (std::fread(p, 1, len, f_) != len)
-      throw FormatError(path_ + ": truncated at byte " + std::to_string(off_) +
-                        " while reading " + what);
-    off_ += len;
-  }
-  std::uint64_t size() const { return size_; }
-  std::uint64_t remaining() const { return size_ > off_ ? size_ - off_ : 0; }
-
- private:
-  std::string path_;
-  std::FILE* f_;
-  std::uint64_t off_ = 0;
-  std::uint64_t size_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Atomic writer: everything goes to <path>.tmp, then fsync + rename, so a
@@ -174,6 +125,10 @@ Parsed parse_v2(std::span<const std::uint8_t> bytes, const std::string& path) {
                       "-byte header does not fit");
   std::memcpy(&out.header, bytes.data(), sizeof(FileHeader));
   const FileHeader& h = out.header;
+  if (std::memcmp(h.magic, kMagicV1, sizeof h.magic) == 0)
+    throw FormatError(path +
+                      " is a format-v1 table, which this build no longer "
+                      "reads — regenerate it with `patlabor_cli lutgen`");
   if (std::memcmp(h.magic, kMagicV2, sizeof h.magic) != 0)
     throw FormatError(path + " is not a PatLabor lookup table");
   if (h.version != kFormatVersion)
@@ -287,160 +242,29 @@ void require_sorted(const SectionView& view, const std::string& path,
                         std::to_string(i) + " (file corrupt?)");
 }
 
-struct LoadedSlice {
-  int degree = 0;
-  DegreeStats stats;
-  OwnedSection sec;
-};
-
-/// Heap-copies one degree/partial section, verifying checksums and walking
-/// every record (so lying counts die here, not at query time).
-LoadedSlice read_section_payload(std::span<const std::uint8_t> bytes,
-                                 const SectionEntry& sec,
-                                 const std::string& path) {
-  LoadedSlice out;
-  out.degree = static_cast<int>(sec.degree);
-  out.stats = stats_of(sec);
-  out.sec.index.resize(sec.index_count);
-  if (sec.index_count > 0)
-    std::memcpy(out.sec.index.data(), bytes.data() + sec.index_offset,
-                sec.index_count * sizeof(IndexEntry));
-  const auto blob = bytes.subspan(sec.blob_offset, sec.blob_bytes);
-  out.sec.blob.assign(blob.begin(), blob.end());
-  if (xxhash64(index_bytes(out.sec.index)) != sec.index_xxh)
-    throw FormatError(path + ": degree " + std::to_string(out.degree) +
-                      " index checksum mismatch (stored " +
-                      hex64(sec.index_xxh) + ", computed " +
-                      hex64(xxhash64(index_bytes(out.sec.index))) +
-                      ") — file corrupt?");
-  if (xxhash64(std::span<const std::uint8_t>(out.sec.blob)) != sec.blob_xxh)
-    throw FormatError(path + ": degree " + std::to_string(out.degree) +
-                      " blob checksum mismatch (stored " +
-                      hex64(sec.blob_xxh) + ") — file corrupt?");
-  const SectionView v{out.sec.index, out.sec.blob};
-  if (sec.kind == kSectionDegree) require_sorted(v, path, out.degree);
-  for (const IndexEntry& e : v.index) {
-    RecordCursor cur(v, e, path);
-    while (cur.next()) {
-    }
-  }
-  return out;
+bool checksums_ok(const SectionView& view, const SectionEntry& sec) {
+  return xxhash64(index_bytes(view.index)) == sec.index_xxh &&
+         xxhash64(view.blob) == sec.blob_xxh;
 }
 
-// ---------------------------------------------------------------------------
-// v1 stream format ("PLUT0001"): magic, u32 slice count, then per slice a
-// u32 degree + DegreeStats fields + u64 entry count + entries of
-// {u64 code, u32 topology count, topologies of u8 edge count + packed edge
-// bytes}.  Conversion path only — new files are always v2.
-
-DegreeStats read_v1_stats(StreamReader& r) {
-  DegreeStats st;
-  st.indices = r.get<std::uint64_t>("slice stats");
-  st.patterns = r.get<std::uint64_t>("slice stats");
-  st.topologies = r.get<std::uint64_t>("slice stats");
-  st.lp_calls = r.get<std::int64_t>("slice stats");
-  st.gen_seconds = r.get<double>("slice stats");
-  st.bytes = r.get<std::uint64_t>("slice stats");
-  return st;
+/// The one check every reader runs on a degree or partial section before
+/// trusting it: both payload checksums, then — for frozen slices — the
+/// strict index order binary search relies on.  Record spans are left to
+/// the per-query RecordCursor.
+SectionView verified_view(std::span<const std::uint8_t> bytes,
+                          const SectionEntry& sec, const std::string& path) {
+  const SectionView view = view_of(bytes, sec);
+  const int degree = static_cast<int>(sec.degree);
+  if (!checksums_ok(view, sec))
+    throw FormatError(path + ": degree " + std::to_string(degree) +
+                      " section checksum mismatch — file corrupt?");
+  if (sec.kind == kSectionDegree) require_sorted(view, path, degree);
+  return view;
 }
 
-std::vector<LoadedSlice> read_v1(StreamReader& r, const std::string& path) {
-  std::vector<LoadedSlice> out;
-  const auto nslices = r.get<std::uint32_t>("slice count");
-  if (nslices > 64)
-    throw FormatError(path + ": implausible slice count " +
-                      std::to_string(nslices));
-  for (std::uint32_t s = 0; s < nslices; ++s) {
-    LoadedSlice slice;
-    slice.degree = static_cast<int>(r.get<std::uint32_t>("slice degree"));
-    if (slice.degree < 4 || slice.degree > 15)
-      throw FormatError(path + ": invalid slice degree " +
-                        std::to_string(slice.degree));
-    slice.stats = read_v1_stats(r);
-    const auto count = r.get<std::uint64_t>("entry count");
-    // Every entry takes >= 13 bytes, so a count beyond the remaining bytes
-    // is a lie; reject before trusting it for allocation.
-    if (count > r.remaining())
-      throw FormatError(path + ": entry count " + std::to_string(count) +
-                        " exceeds the " + std::to_string(r.remaining()) +
-                        " bytes left in the file");
-    TableBuilder b;
-    std::vector<RankTopology> topos;
-    for (std::uint64_t e = 0; e < count; ++e) {
-      const auto code = r.get<std::uint64_t>("entry code");
-      const auto ntopo = r.get<std::uint32_t>("topology count");
-      if (ntopo > r.remaining())
-        throw FormatError(path + ": topology count " + std::to_string(ntopo) +
-                          " exceeds the " + std::to_string(r.remaining()) +
-                          " bytes left in the file");
-      topos.assign(ntopo, RankTopology{});
-      for (auto& t : topos) {
-        const auto nedges = r.get<std::uint8_t>("edge count");
-        t.edges.reserve(nedges);
-        for (int i = 0; i < nedges; ++i) {
-          const auto a = unpack_rank_point(r.get<std::uint8_t>("edge"));
-          const auto b2 = unpack_rank_point(r.get<std::uint8_t>("edge"));
-          t.edges.emplace_back(a, b2);
-        }
-      }
-      if (b.contains(code))
-        throw FormatError(path + ": duplicate entry code " +
-                          std::to_string(code));
-      b.add(code, topos);
-    }
-    slice.sec = b.freeze();
-    out.push_back(std::move(slice));
-  }
-  return out;
-}
-
-void inspect_v1(StreamReader& r, const std::string& path,
-                TableFileReport& rep) {
-  rep.version = 1;
-  rep.file_size = r.size();
-  std::uint64_t content = kContentHashInit;
-  const auto nslices = r.get<std::uint32_t>("slice count");
-  if (nslices > 64)
-    throw FormatError(path + ": implausible slice count " +
-                      std::to_string(nslices));
-  for (std::uint32_t s = 0; s < nslices; ++s) {
-    const auto degree = static_cast<int>(r.get<std::uint32_t>("slice degree"));
-    rep.stats[degree] = read_v1_stats(r);
-    rep.max_degree = std::max(rep.max_degree, degree);
-    const auto count = r.get<std::uint64_t>("entry count");
-    if (count > r.remaining())
-      throw FormatError(path + ": entry count " + std::to_string(count) +
-                        " exceeds the " + std::to_string(r.remaining()) +
-                        " bytes left in the file");
-    for (std::uint64_t e = 0; e < count; ++e) {
-      std::uint64_t h = 0xCBF29CE484222325ULL;
-      auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-          h ^= (v >> (8 * i)) & 0xFF;
-          h *= 0x100000001B3ULL;
-        }
-      };
-      mix(r.get<std::uint64_t>("entry code"));
-      const auto ntopo = r.get<std::uint32_t>("topology count");
-      if (ntopo > r.remaining())
-        throw FormatError(path + ": topology count " + std::to_string(ntopo) +
-                          " exceeds the " + std::to_string(r.remaining()) +
-                          " bytes left in the file");
-      mix(ntopo);
-      for (std::uint32_t t = 0; t < ntopo; ++t) {
-        const auto nedges = r.get<std::uint8_t>("edge count");
-        mix(nedges);
-        for (int i = 0; i < nedges; ++i) {
-          const auto a = unpack_rank_point(r.get<std::uint8_t>("edge"));
-          const auto b = unpack_rank_point(r.get<std::uint8_t>("edge"));
-          mix(static_cast<std::uint64_t>(a.x) | (std::uint64_t{a.y} << 8) |
-              (std::uint64_t{b.x} << 16) | (std::uint64_t{b.y} << 24));
-        }
-      }
-      content += h;
-    }
-  }
-  rep.computed_content_hash = content;
+OwnedSection owned_copy(const SectionView& view) {
+  return OwnedSection{{view.index.begin(), view.index.end()},
+                      {view.blob.begin(), view.blob.end()}};
 }
 
 // ---------------------------------------------------------------------------
@@ -594,82 +418,9 @@ void TableIo::save(const LookupTable& table, const std::string& path) {
   write_container(path, table.max_degree_, slices, nullptr);
 }
 
-void TableIo::write_scaled_copy(const std::string& src, const std::string& dst,
-                                std::uint64_t min_payload_bytes) {
-  const LookupTable base = load(src);
-  std::uint64_t payload = 0;
-  for (const auto& [degree, slice] : base.slices_)
-    payload += index_bytes(slice.view.index).size() + slice.view.blob.size();
-  if (payload == 0) throw FormatError(src + ": cannot scale an empty table");
-  const std::uint64_t replicas =
-      std::max<std::uint64_t>(1, (min_payload_bytes + payload - 1) / payload);
-  LookupTable scaled;
-  scaled.origin_ = dst;
-  for (const auto& [degree, slice] : base.slices_) {
-    const SectionView& v = slice.view;
-    OwnedSection sec;
-    sec.index.reserve(v.index.size() * replicas);
-    sec.blob.reserve(v.blob.size() * replicas);
-    // Disjoint ascending code ranges per replica keep the index sorted;
-    // replica 0 starts at code_base 0, preserving the original codes.
-    const std::uint64_t code_stride =
-        v.index.empty() ? 1 : v.index.back().code + 1;
-    for (std::uint64_t r = 0; r < replicas; ++r) {
-      const std::uint64_t code_base = r * code_stride;
-      const std::uint64_t blob_base = sec.blob.size();
-      for (const IndexEntry& e : v.index) {
-        IndexEntry copy = e;
-        copy.code = e.code + code_base;
-        copy.offset = e.offset + blob_base;
-        sec.index.push_back(copy);
-      }
-      sec.blob.insert(sec.blob.end(), v.blob.begin(), v.blob.end());
-    }
-    DegreeStats st = base.stats_.at(degree);
-    st.indices *= replicas;
-    st.patterns *= replicas;
-    st.topologies *= replicas;
-    st.bytes = index_bytes(sec.index).size() + sec.blob.size();
-    scaled.set_owned_slice(degree, st, std::move(sec));
-  }
-  save(scaled, dst);
-}
-
-LookupTable TableIo::load(const std::string& path) {
-  LookupTable lut;
-  lut.origin_ = path;
-  {
-    StreamReader r(path);
-    char magic[8];
-    r.get_bytes(magic, sizeof magic, "file magic");
-    if (std::memcmp(magic, kMagicV1, sizeof magic) == 0) {
-      for (auto& s : read_v1(r, path))
-        lut.set_owned_slice(s.degree, s.stats, std::move(s.sec));
-      return lut;
-    }
-    if (std::memcmp(magic, kMagicV2, sizeof magic) != 0)
-      throw FormatError(path + " is not a PatLabor lookup table");
-  }
-  // v2: parse through a temporary read-only mapping, copy the payloads out.
-  MmapFile map(path);
-  const Parsed p = parse_v2(map.bytes(), path);
-  refuse_checkpoint(p.header, path);
-  for (const SectionEntry& sec : p.sections) {
-    auto s = read_section_payload(map.bytes(), sec, path);
-    lut.set_owned_slice(s.degree, s.stats, std::move(s.sec));
-  }
-  return lut;
-}
-
-LookupTable TableIo::load_mmap(const std::string& path) {
+LookupTable TableIo::open(const std::string& path) {
   auto map = std::make_shared<const MmapFile>(path);
   const auto bytes = map->bytes();
-  if (bytes.size() >= sizeof kMagicV1 &&
-      std::memcmp(bytes.data(), kMagicV1, sizeof kMagicV1) == 0)
-    throw FormatError(path +
-                      " is a legacy v1 stream table and cannot be "
-                      "memory-mapped — convert it once with load() + save() "
-                      "(or `patlabor_cli lutgen` anew)");
   const Parsed p = parse_v2(bytes, path);
   refuse_checkpoint(p.header, path);
   LookupTable lut;
@@ -677,13 +428,7 @@ LookupTable TableIo::load_mmap(const std::string& path) {
   lut.mapping_ = map;
   for (const SectionEntry& sec : p.sections) {
     const int degree = static_cast<int>(sec.degree);
-    const SectionView view = view_of(bytes, sec);
-    // The index is the only part binary search relies on; checking order
-    // up front touches just the index pages, never the blob.
-    require_sorted(view, path, degree);
-    LookupTable::Slice slice;
-    slice.view = view;
-    lut.slices_[degree] = slice;
+    lut.slices_[degree].view = verified_view(bytes, sec, path);
     lut.stats_[degree] = stats_of(sec);
     lut.max_degree_ = std::max(lut.max_degree_, degree);
   }
@@ -720,9 +465,6 @@ bool TableIo::load_checkpoint(const std::string& path,
   }
   MmapFile map(path);
   const auto bytes = map.bytes();
-  if (bytes.size() >= sizeof kMagicV1 &&
-      std::memcmp(bytes.data(), kMagicV1, sizeof kMagicV1) == 0)
-    throw FormatError(path + " is a legacy v1 table, not a checkpoint");
   const Parsed p = parse_v2(bytes, path);
   if ((p.header.flags & kFlagCheckpoint) == 0)
     throw FormatError(path +
@@ -734,11 +476,10 @@ bool TableIo::load_checkpoint(const std::string& path,
   const SectionEntry* partial = nullptr;
   for (const SectionEntry& sec : p.sections) {
     switch (sec.kind) {
-      case kSectionDegree: {
-        auto s = read_section_payload(bytes, sec, path);
-        lut.set_owned_slice(s.degree, s.stats, std::move(s.sec));
+      case kSectionDegree:
+        lut.set_owned_slice(static_cast<int>(sec.degree), stats_of(sec),
+                            owned_copy(verified_view(bytes, sec, path)));
         break;
-      }
       case kSectionPartial:
         partial = &sec;
         break;
@@ -792,10 +533,10 @@ bool TableIo::load_checkpoint(const std::string& path,
                         std::to_string(partial->degree) +
                         " does not match the in-progress degree " +
                         std::to_string(cs.degree));
-    auto s = read_section_payload(bytes, *partial, path);
-    cs.partial = s.stats;
-    cs.entries = std::move(s.sec.index);
-    cs.blob = std::move(s.sec.blob);
+    OwnedSection s = owned_copy(verified_view(bytes, *partial, path));
+    cs.partial = stats_of(*partial);
+    cs.entries = std::move(s.index);
+    cs.blob = std::move(s.blob);
   }
   completed_out = std::move(lut);
   state_out = std::move(cs);
@@ -804,21 +545,9 @@ bool TableIo::load_checkpoint(const std::string& path,
 
 TableFileReport inspect_table_file(const std::string& path) {
   TableFileReport rep;
-  {
-    StreamReader r(path);
-    char magic[8];
-    r.get_bytes(magic, sizeof magic, "file magic");
-    if (std::memcmp(magic, kMagicV1, sizeof magic) == 0) {
-      inspect_v1(r, path, rep);
-      return rep;
-    }
-    if (std::memcmp(magic, kMagicV2, sizeof magic) != 0)
-      throw FormatError(path + " is not a PatLabor lookup table");
-  }
   MmapFile map(path);
   const auto bytes = map.bytes();
   const Parsed p = parse_v2(bytes, path);
-  rep.version = 2;
   rep.checkpoint = (p.header.flags & kFlagCheckpoint) != 0;
   rep.file_size = p.header.file_size;
   rep.lambda = p.header.lambda;
@@ -843,8 +572,7 @@ TableFileReport inspect_table_file(const std::string& path) {
       rep.ck_completed_patterns = head.completed_patterns;
     } else {
       const SectionView view = view_of(bytes, sec);
-      s.checksums_ok = xxhash64(index_bytes(view.index)) == sec.index_xxh &&
-                       xxhash64(view.blob) == sec.blob_xxh;
+      s.checksums_ok = checksums_ok(view, sec);
       // A corrupt payload cannot contribute a meaningful hash term (and
       // walking its records may be impossible); the stored/computed
       // mismatch is the report.

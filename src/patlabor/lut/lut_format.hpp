@@ -4,14 +4,11 @@
 // A v2 file is a 64-byte frozen header, a table of 128-byte section
 // entries, then 64-byte-aligned payloads.  Each degree slice stores its
 // index and blob payloads exactly as they sit in memory
-// (table_storage.hpp), so heap loading is a copy + checksum and mmap
-// loading is no deserialization at all.  Generation checkpoints reuse the
-// same container (header flag bit 0) with two extra section kinds: the
-// in-progress degree's slice in insertion order, and a metadata section
-// carrying the completed-pattern bitmap.
-//
-// Legacy v1 ("PLUT0001") stream files still load through a conversion
-// path and can be inspected/hashed without building heap topologies.
+// (table_storage.hpp), so a finished table is attached by mapping the file
+// and verifying each section — no deserialization at all.  Generation
+// checkpoints reuse the same container (header flag bit 0) with two extra
+// section kinds: the in-progress degree's slice in insertion order, and a
+// metadata section carrying the completed-pattern bitmap.
 //
 // Decoding is bounds-checked throughout — every offset, size and count
 // coming from the file is validated before it is trusted (the
@@ -20,7 +17,6 @@
 
 #include <cstdint>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,12 +25,8 @@
 
 namespace patlabor::lut {
 
-/// Malformed / corrupt / mismatched table file.  Messages name the path
-/// and, where meaningful, the offending byte offset.
-struct FormatError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
+/// Magic of the retired v1 stream format; such files are refused with a
+/// "regenerate" message.
 inline constexpr char kMagicV1[8] = {'P', 'L', 'U', 'T', '0', '0', '0', '1'};
 inline constexpr char kMagicV2[8] = {'P', 'L', 'U', 'T', '0', '0', '0', '2'};
 inline constexpr std::uint32_t kFormatVersion = 2;
@@ -126,14 +118,11 @@ struct TableIo {
   /// Writes a final v2 file, atomically (tmp + fsync + rename).
   static void save(const LookupTable& table, const std::string& path);
 
-  /// Heap-loads a v1 or v2 file; verifies v2 checksums and walks every
-  /// record.  Refuses checkpoint containers (resume or inspect those).
-  static LookupTable load(const std::string& path);
-
-  /// Zero-copy-loads a v2 file: validates header + section table bounds
-  /// only, then serves queries straight from the mapping (record spans
-  /// are bounds-checked per query by RecordCursor).
-  static LookupTable load_mmap(const std::string& path);
+  /// Maps a finished v2 file read-only: validates the header and section
+  /// table bounds, verifies every section's checksums and index order,
+  /// then serves queries straight from the mapping (record spans are
+  /// bounds-checked per query by RecordCursor).  Throws FormatError.
+  static LookupTable open(const std::string& path);
 
   /// Atomically writes a checkpoint container: `completed` degrees as
   /// frozen sections, `builder`'s unsorted partial slice, and the
@@ -150,28 +139,16 @@ struct TableIo {
   static bool load_checkpoint(const std::string& path,
                               LookupTable& completed_out,
                               CheckpointState& state_out);
-
-  /// Writes a load-testing copy of `src` to `dst` whose payload is at
-  /// least `min_payload_bytes`: every degree section's entries are
-  /// replicated with codes re-keyed into disjoint ascending ranges (the
-  /// index stays sorted) and blob offsets shifted per replica.  Replica 0
-  /// keeps the original codes, so real queries answer identically; the
-  /// extra entries only exist to give the file the weight of a deep
-  /// (λ = 9-scale) table.  bench_lut_load measures attach time on this.
-  static void write_scaled_copy(const std::string& src,
-                                const std::string& dst,
-                                std::uint64_t min_payload_bytes);
 };
 
-/// Everything `patlabor_cli lut info` prints — gathered without building
-/// heap topologies (v2: mmap; v1: streaming walk).
+/// Everything `patlabor_cli lut info` prints — gathered through a
+/// read-only mapping, without building any topology.
 struct TableFileReport {
-  int version = 0;  ///< 1 or 2
   bool checkpoint = false;
   std::uint64_t file_size = 0;
   std::uint32_t lambda = 0;
   int max_degree = 3;
-  std::uint64_t stored_content_hash = 0;  ///< 0 for v1 (format stores none)
+  std::uint64_t stored_content_hash = 0;
   std::uint64_t computed_content_hash = 0;
   std::map<int, DegreeStats> stats;
 
@@ -183,7 +160,7 @@ struct TableFileReport {
     std::uint64_t blob_bytes = 0;
     bool checksums_ok = false;
   };
-  std::vector<Section> sections;  ///< empty for v1
+  std::vector<Section> sections;
 
   /// Valid when `checkpoint`.
   std::uint32_t ck_dw_flags = 0;

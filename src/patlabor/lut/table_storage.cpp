@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <stdexcept>
 
 namespace patlabor::lut {
 
@@ -27,7 +26,7 @@ RecordCursor::RecordCursor(const SectionView& view, const IndexEntry& entry,
   // decoded — offset and nbytes come from the file and may lie.
   if (entry.offset > view.blob.size() ||
       entry.nbytes > view.blob.size() - entry.offset)
-    throw std::runtime_error(
+    throw FormatError(
         *context_ + ": index entry for code " + std::to_string(entry.code) +
         " spans [" + std::to_string(entry.offset) + ", " +
         std::to_string(entry.offset + entry.nbytes) + ") outside the " +
@@ -40,18 +39,18 @@ RecordCursor::RecordCursor(const SectionView& view, const IndexEntry& entry,
 bool RecordCursor::next() {
   if (remaining_ == 0) {
     if (p_ != end_)
-      throw std::runtime_error(*context_ +
-                               ": topology records overrun their entry (" +
-                               std::to_string(end_ - p_) + " trailing bytes)");
+      throw FormatError(*context_ +
+                        ": topology records overrun their entry (" +
+                        std::to_string(end_ - p_) + " trailing bytes)");
     return false;
   }
   if (p_ >= end_)
-    throw std::runtime_error(
+    throw FormatError(
         *context_ + ": entry promises " + std::to_string(remaining_) +
         " more topology record(s) but its byte span is exhausted");
   nedges_ = *p_++;
   if (static_cast<std::size_t>(end_ - p_) < 2u * nedges_)
-    throw std::runtime_error(
+    throw FormatError(
         *context_ + ": topology record claims " + std::to_string(nedges_) +
         " edges but only " + std::to_string((end_ - p_) / 2) +
         " fit in the remaining bytes");
@@ -106,19 +105,17 @@ OwnedSection TableBuilder::freeze() {
 MmapFile::MmapFile(const std::string& path) : path_(path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0)
-    throw std::runtime_error("cannot open " + path + ": " +
-                             std::strerror(errno));
+    throw FormatError("cannot open " + path + ": " + std::strerror(errno));
   struct stat st{};
   if (::fstat(fd, &st) != 0) {
     const int err = errno;
     ::close(fd);
-    throw std::runtime_error("cannot stat " + path + ": " +
-                             std::strerror(err));
+    throw FormatError("cannot stat " + path + ": " + std::strerror(err));
   }
   size_ = static_cast<std::size_t>(st.st_size);
   if (size_ == 0) {
     ::close(fd);
-    throw std::runtime_error(path + " is empty");
+    throw FormatError(path + " is empty (0 bytes), not a lookup table");
   }
   // Read-only + private: never written, so every process mapping the file
   // shares the same physical page-cache pages.
@@ -127,8 +124,7 @@ MmapFile::MmapFile(const std::string& path) : path_(path) {
   ::close(fd);
   if (addr_ == MAP_FAILED) {
     addr_ = nullptr;
-    throw std::runtime_error("cannot mmap " + path + ": " +
-                             std::strerror(err));
+    throw FormatError("cannot mmap " + path + ": " + std::strerror(err));
   }
 }
 

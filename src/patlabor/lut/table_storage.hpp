@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -31,6 +32,13 @@
 #include "patlabor/lut/param_dw.hpp"
 
 namespace patlabor::lut {
+
+/// Malformed / corrupt / mismatched / unreadable table file.  Messages
+/// name the path and, where meaningful, the offending byte offset or the
+/// errno text.
+struct FormatError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// One index row of a degree slice.  Fixed 24-byte little-endian layout:
 /// the struct is written to and read from disk verbatim.
@@ -52,8 +60,9 @@ inline RankPoint unpack_rank_point(std::uint8_t b) {
                    static_cast<std::uint8_t>(b & 0xF)};
 }
 
-/// An owned flat degree slice: the heap backend of a LookupTable, and the
-/// staging buffer every v2 file section is written from / heap-loaded into.
+/// An owned flat degree slice: the in-memory backend of a generated
+/// LookupTable, and of the slices a checkpoint resume copies out of its
+/// file.
 struct OwnedSection {
   std::vector<IndexEntry> index;
   std::vector<std::uint8_t> blob;
@@ -71,7 +80,8 @@ struct SectionView {
 
 /// Walks one entry's topology records with bounds checks: every count is
 /// validated against the entry's byte span before it is trusted, so a
-/// corrupt or lying file throws instead of reading out of bounds.
+/// corrupt or lying file throws FormatError instead of reading out of
+/// bounds.
 /// Usage:
 ///   RecordCursor cur(view, *entry, context);
 ///   while (cur.next()) { cur.edge_count() / cur.edge(i) ... }
@@ -82,7 +92,7 @@ class RecordCursor {
                const std::string& context);
 
   /// Advances to the next record; false when the entry is exhausted.
-  /// Throws std::runtime_error on a malformed record.
+  /// Throws FormatError on a malformed record.
   bool next();
 
   unsigned edge_count() const { return nedges_; }
@@ -136,8 +146,8 @@ class TableBuilder {
 /// mapping outlives any table copy that still points into it.
 class MmapFile {
  public:
-  /// Maps `path` read-only; throws std::runtime_error with the errno text
-  /// on open/stat/map failure.
+  /// Maps `path` read-only; throws FormatError naming the path (with the
+  /// errno text) on open/stat/map failure or an empty file.
   explicit MmapFile(const std::string& path);
   ~MmapFile();
   MmapFile(const MmapFile&) = delete;

@@ -123,14 +123,12 @@ Server::~Server() { stop(); }
 
 std::unique_ptr<engine::Engine> Server::make_engine() {
   auto eng = std::make_unique<engine::Engine>(options_.engine);
-  // open() maps v2 tables read-only: startup pays no deserialization, N
+  // open() maps the table read-only: startup pays no deserialization, N
   // daemons share one physical copy, and a reload swaps to a fresh mapping
   // of the (possibly replaced) file while the old one lives until its last
   // in-flight batch drops it.
   if (!options_.lut_path.empty())
-    eng->adopt_table(options_.lut_heap
-                         ? lut::LookupTable::load(options_.lut_path)
-                         : lut::LookupTable::open(options_.lut_path));
+    eng->adopt_table(lut::LookupTable::open(options_.lut_path));
   return eng;
 }
 

@@ -79,14 +79,11 @@ struct ServerOptions {
   /// Engine::route_batch of the same nets modulo the tag field.
   engine::EngineOptions engine;
   /// Optional lookup table attached at startup and re-attached on
-  /// request_reload().  Format-v2 files are memory-mapped read-only
+  /// request_reload().  The file is memory-mapped read-only
   /// (lut::LookupTable::open) so every daemon process serving the same
   /// table shares one physical copy through the page cache, and a SIGHUP
-  /// reload is an atomic remap swap between batches; legacy v1 files fall
-  /// back to a private heap parse.  Empty = no table.
+  /// reload is an atomic remap swap between batches.  Empty = no table.
   std::string lut_path;
-  /// Force the private heap parse even for v2 files (--lut-heap).
-  bool lut_heap = false;
   /// Per-frame payload cap; frames above it are refused with
   /// kOversizePayload and the connection is closed.
   std::uint32_t max_payload = kDefaultMaxPayload;

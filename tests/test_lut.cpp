@@ -182,7 +182,7 @@ TEST_F(LutSuite, TrivialDegreesAnsweredDirectly) {
 TEST_F(LutSuite, SaveLoadRoundTrip) {
   const std::string path = ::testing::TempDir() + "/patlabor_lut_test.bin";
   lut_->save(path);
-  const LookupTable loaded = LookupTable::load(path);
+  const LookupTable loaded = LookupTable::open(path);
   EXPECT_EQ(loaded.max_degree(), lut_->max_degree());
   EXPECT_EQ(loaded.stats().at(5).indices, lut_->stats().at(5).indices);
   util::Rng rng(63);

@@ -1,7 +1,9 @@
-// The on-disk container (lut_format.hpp): v2 roundtrips, mmap parity,
-// checkpoint/resume bit-identity, the committed v1 golden file, and
-// hostile-input decoding (every count/offset/checksum a file can lie
-// about must be caught, never trusted).
+// The on-disk container (lut_format.hpp): v2 roundtrips through open(),
+// generated-vs-opened parity, checkpoint/resume bit-identity, the
+// committed v2 golden file (the format-freeze check), and hostile-input
+// decoding (every count/offset/checksum a file can lie about must be
+// caught, never trusted — at open() for the container, at query time by
+// RecordCursor for the records).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,12 +28,12 @@ namespace {
 using lut::FormatError;
 using lut::LookupTable;
 
-// Content hash of the committed golden v1 degree-4 table; also the hash
+// Content hash of the committed golden v2 degree-4 table; also the hash
 // every degree-4 regeneration with default options must reproduce.
 constexpr std::uint64_t kGoldenDeg4Hash = 0x23101cd52f4793c3ULL;
 
-std::string golden_v1_path() {
-  return std::string(PATLABOR_TEST_DATA_DIR) + "/lut_v1_deg4.bin";
+std::string golden_v2_path() {
+  return std::string(PATLABOR_TEST_DATA_DIR) + "/lut_v2_deg4.bin";
 }
 
 std::string tmp_path(const std::string& name) {
@@ -65,6 +67,19 @@ void poke(std::vector<std::uint8_t>& bytes, std::size_t offset, T v) {
   std::memcpy(bytes.data() + offset, &v, sizeof v);
 }
 
+/// Expects open(path) to throw a FormatError whose message contains
+/// `needle` and names the path.
+void expect_open_error(const std::string& path, const std::string& needle) {
+  try {
+    LookupTable::open(path);
+    FAIL() << "expected FormatError for " << path;
+  } catch (const FormatError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
+}
+
 /// A fresh degree-4 table saved as v2, returned as raw bytes.
 std::vector<std::uint8_t> fresh_v2_bytes(const std::string& path) {
   LookupTable::generate(4).save(path);
@@ -86,7 +101,7 @@ TEST(LutFormat, V2SaveLoadRoundtrip) {
   const LookupTable generated = LookupTable::generate(4);
   generated.save(path);
 
-  const LookupTable loaded = LookupTable::load(path);
+  const LookupTable loaded = LookupTable::open(path);
   EXPECT_EQ(loaded.content_hash(), generated.content_hash());
   EXPECT_EQ(loaded.content_hash(), kGoldenDeg4Hash);
   EXPECT_EQ(loaded.max_degree(), 4);
@@ -97,23 +112,25 @@ TEST(LutFormat, V2SaveLoadRoundtrip) {
   EXPECT_EQ(st.patterns, gt.patterns);
   EXPECT_EQ(st.topologies, gt.topologies);
   EXPECT_EQ(st.lp_calls, gt.lp_calls);
-  EXPECT_EQ(loaded.storage().backend, lut::LookupTable::StorageBackend::kHeap);
+  EXPECT_EQ(generated.storage().backend,
+            lut::LookupTable::StorageBackend::kHeap);
+  EXPECT_EQ(loaded.storage().backend, lut::LookupTable::StorageBackend::kMmap);
 }
 
 TEST(LutFormat, MmapParity) {
   const std::string path = tmp_path("parity.bin");
-  LookupTable::generate(4).save(path);
+  const LookupTable generated = LookupTable::generate(4);
+  generated.save(path);
 
-  const LookupTable heap = LookupTable::load(path);
-  const LookupTable mapped = LookupTable::load_mmap(path);
-  EXPECT_EQ(mapped.content_hash(), heap.content_hash());
+  const LookupTable mapped = LookupTable::open(path);
+  EXPECT_EQ(mapped.content_hash(), generated.content_hash());
   EXPECT_EQ(mapped.storage().backend, lut::LookupTable::StorageBackend::kMmap);
   EXPECT_GT(mapped.storage().bytes, 0u);
 
   util::Rng rng(3);
   for (int i = 0; i < 20; ++i) {
     const geom::Net net = testing::random_net(rng, 4);
-    const auto a = heap.query(net);
+    const auto a = generated.query(net);
     const auto b = mapped.query(net);
     ASSERT_EQ(a.frontier.size(), b.frontier.size()) << "net " << i;
     for (std::size_t s = 0; s < a.frontier.size(); ++s)
@@ -121,65 +138,33 @@ TEST(LutFormat, MmapParity) {
   }
 }
 
-TEST(LutFormat, ScaledCopyKeepsQueriesAndGrowsTheFile) {
-  const std::string path = tmp_path("scale_src.bin");
-  const std::string scaled_path = tmp_path("scale_dst.bin");
-  LookupTable::generate(4).save(path);
-  const std::uint64_t src_size = read_file(path).size();
-
-  lut::TableIo::write_scaled_copy(path, scaled_path, 64 * src_size);
-  const auto rep = lut::inspect_table_file(scaled_path);
-  EXPECT_EQ(rep.version, 2);
-  EXPECT_GE(rep.file_size, 64 * src_size);
-  // A scaled file is a valid v2 table: stored and recomputed content
-  // hashes agree, and heap and mmap loads see the same content.
-  EXPECT_EQ(rep.stored_content_hash, rep.computed_content_hash);
-  const LookupTable heap = LookupTable::load(scaled_path);
-  const LookupTable mapped = LookupTable::load_mmap(scaled_path);
-  EXPECT_EQ(heap.content_hash(), mapped.content_hash());
-
-  // Replica 0 keeps the original codes, so real queries answer exactly
-  // as the unscaled table does.
-  const LookupTable base = LookupTable::load(path);
-  util::Rng rng(9);
-  for (int i = 0; i < 20; ++i) {
-    const geom::Net net = testing::random_net(rng, 4);
-    const auto a = base.query(net);
-    const auto b = mapped.query(net);
-    ASSERT_EQ(a.frontier.size(), b.frontier.size()) << "net " << i;
-    for (std::size_t s = 0; s < a.frontier.size(); ++s)
-      EXPECT_EQ(a.frontier[s], b.frontier[s]) << "net " << i;
-  }
-}
-
-TEST(LutFormat, OpenDispatchesByMagic) {
-  const std::string path = tmp_path("open_v2.bin");
-  LookupTable::generate(4).save(path);
-  EXPECT_EQ(LookupTable::open(path).storage().backend,
-            lut::LookupTable::StorageBackend::kMmap);
-  // v1 has no flat payload to map; open() falls back to the heap parse.
-  EXPECT_EQ(LookupTable::open(golden_v1_path()).storage().backend,
-            lut::LookupTable::StorageBackend::kHeap);
-}
-
-TEST(LutFormat, GoldenV1StillLoads) {
-  const LookupTable golden = LookupTable::load(golden_v1_path());
+TEST(LutFormat, GoldenV2StillOpens) {
+  // The committed file was written by an earlier build; it must keep
+  // opening to the same content, so any change to the frozen layout or to
+  // the content hash shows up here.
+  const LookupTable golden = LookupTable::open(golden_v2_path());
   EXPECT_EQ(golden.content_hash(), kGoldenDeg4Hash);
   EXPECT_EQ(golden.max_degree(), 4);
 
-  const auto report = lut::inspect_table_file(golden_v1_path());
-  EXPECT_EQ(report.version, 1);
+  const auto report = lut::inspect_table_file(golden_v2_path());
   EXPECT_FALSE(report.checkpoint);
-  EXPECT_EQ(report.stored_content_hash, 0u);  // v1 stores no hash
+  EXPECT_EQ(report.stored_content_hash, kGoldenDeg4Hash);
   EXPECT_EQ(report.computed_content_hash, kGoldenDeg4Hash);
   EXPECT_EQ(report.max_degree, 4);
+
+  const LookupTable generated = LookupTable::generate(4);
+  util::Rng rng(5);
+  for (int i = 0; i < 20; ++i) {
+    const geom::Net net = testing::random_net(rng, 4);
+    EXPECT_EQ(golden.query(net).frontier, generated.query(net).frontier)
+        << "net " << i;
+  }
 }
 
 TEST(LutFormat, InspectV2ReportsStoredHash) {
   const std::string path = tmp_path("inspect.bin");
   LookupTable::generate(4).save(path);
   const auto report = lut::inspect_table_file(path);
-  EXPECT_EQ(report.version, 2);
   EXPECT_EQ(report.stored_content_hash, kGoldenDeg4Hash);
   EXPECT_EQ(report.computed_content_hash, kGoldenDeg4Hash);
   ASSERT_EQ(report.sections.size(), 1u);
@@ -189,13 +174,15 @@ TEST(LutFormat, InspectV2ReportsStoredHash) {
 
 TEST(LutFormat, MissingFileNamesErrno) {
   const std::string path = tmp_path("does_not_exist.bin");
-  try {
-    LookupTable::load(path);
-    FAIL() << "expected FormatError";
-  } catch (const FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("cannot open"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("No such file"), std::string::npos);
-  }
+  std::remove(path.c_str());
+  expect_open_error(path, "cannot open");
+  expect_open_error(path, "No such file");
+}
+
+TEST(LutFormat, EmptyFileIsFormatError) {
+  const std::string path = tmp_path("empty.bin");
+  write_file(path, {});
+  expect_open_error(path, "empty");
 }
 
 TEST(LutFormat, HostileTruncatedV2) {
@@ -203,23 +190,26 @@ TEST(LutFormat, HostileTruncatedV2) {
   auto bytes = fresh_v2_bytes(path);
   bytes.resize(bytes.size() / 2);
   write_file(path, bytes);
-  EXPECT_THROW(LookupTable::load(path), FormatError);
-  EXPECT_THROW(LookupTable::load_mmap(path), FormatError);
+  expect_open_error(path, "truncated");
 }
 
-TEST(LutFormat, HostileTruncatedV1ReportsOffset) {
-  const std::string path = tmp_path("trunc_v1.bin");
-  auto bytes = read_file(golden_v1_path());
-  bytes.resize(bytes.size() - 7);
+TEST(LutFormat, HostileTruncatedHeaderReportsOffset) {
+  const std::string path = tmp_path("trunc_header.bin");
+  auto bytes = fresh_v2_bytes(path);
+  bytes.resize(sizeof(lut::FileHeader) - 7);
   write_file(path, bytes);
-  try {
-    LookupTable::load(path);
-    FAIL() << "expected FormatError";
-  } catch (const FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("truncated at byte"),
-              std::string::npos)
-        << e.what();
-  }
+  expect_open_error(path, "truncated at byte 57");
+}
+
+TEST(LutFormat, HostileV1MagicAsksToRegenerate) {
+  // The retired v1 stream format has no flat payload to map; open() and
+  // lut info refuse it by magic and point at regeneration.
+  const std::string path = tmp_path("v1.bin");
+  auto bytes = fresh_v2_bytes(path);
+  std::memcpy(bytes.data(), lut::kMagicV1, sizeof lut::kMagicV1);
+  write_file(path, bytes);
+  expect_open_error(path, "regenerate");
+  EXPECT_THROW(lut::inspect_table_file(path), FormatError);
 }
 
 TEST(LutFormat, HostileBadMagic) {
@@ -227,8 +217,7 @@ TEST(LutFormat, HostileBadMagic) {
   auto bytes = fresh_v2_bytes(path);
   bytes[0] = 'X';
   write_file(path, bytes);
-  EXPECT_THROW(LookupTable::load(path), FormatError);
-  EXPECT_THROW(LookupTable::open(path), FormatError);
+  expect_open_error(path, "not a PatLabor lookup table");
 }
 
 TEST(LutFormat, HostileWrongVersion) {
@@ -236,7 +225,7 @@ TEST(LutFormat, HostileWrongVersion) {
   auto bytes = fresh_v2_bytes(path);
   poke<std::uint32_t>(bytes, 8, 99);  // FileHeader.version
   write_file(path, bytes);
-  EXPECT_THROW(LookupTable::load(path), FormatError);
+  expect_open_error(path, "unsupported format version 99");
 }
 
 TEST(LutFormat, HostileLyingCountsAndOffsets) {
@@ -249,21 +238,19 @@ TEST(LutFormat, HostileLyingCountsAndOffsets) {
     auto bytes = good;
     poke<std::uint64_t>(bytes, sec + 16, 1ULL << 40);
     write_file(base, bytes);
-    EXPECT_THROW(LookupTable::load(base), FormatError);
-    EXPECT_THROW(LookupTable::load_mmap(base), FormatError);
+    expect_open_error(base, "section 0 index payload");
   }
   {  // blob_offset pointing past the end
     auto bytes = good;
     poke<std::uint64_t>(bytes, sec + 24, bytes.size() + 4096);
     write_file(base, bytes);
-    EXPECT_THROW(LookupTable::load(base), FormatError);
-    EXPECT_THROW(LookupTable::load_mmap(base), FormatError);
+    expect_open_error(base, "section 0 blob payload");
   }
   {  // header file_size disagreeing with reality
     auto bytes = good;
     poke<std::uint64_t>(bytes, 40, bytes.size() * 2);
     write_file(base, bytes);
-    EXPECT_THROW(LookupTable::load(base), FormatError);
+    expect_open_error(base, "header promises");
   }
 }
 
@@ -276,13 +263,7 @@ TEST(LutFormat, HostileChecksumMismatch) {
   ASSERT_LT(blob_offset, bytes.size());
   bytes[blob_offset] ^= 0xFF;
   write_file(path, bytes);
-  try {
-    LookupTable::load(path);
-    FAIL() << "expected FormatError";
-  } catch (const FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
-        << e.what();
-  }
+  expect_open_error(path, "checksum");
   // The stored hash no longer matches the payload either.
   const auto report = lut::inspect_table_file(path);
   EXPECT_FALSE(report.sections[0].checksums_ok);
@@ -320,11 +301,10 @@ TEST(LutFormat, CheckpointResumeIsBitIdentical) {
   EXPECT_EQ(resumed.content_hash(), want);
 
   // The last checkpoint on disk is a valid container that inspect() can
-  // read but the table loaders must refuse.
+  // read but open() must refuse.
   const auto report = lut::inspect_table_file(ck);
   EXPECT_TRUE(report.checkpoint);
-  EXPECT_THROW(LookupTable::load(ck), FormatError);
-  EXPECT_THROW(LookupTable::load_mmap(ck), FormatError);
+  expect_open_error(ck, "generation checkpoint");
   std::remove(ck.c_str());
 }
 
@@ -344,6 +324,40 @@ TEST(LutFormat, ResumeRefusesChangedDwOptions) {
   opt.dw.corner_pruning = !opt.dw.corner_pruning;
   EXPECT_THROW(LookupTable::generate(5, opt), FormatError);
   std::remove(ck.c_str());
+}
+
+// RecordCursor is the only guard between an opened file's blob and the
+// query path: each lie below must throw, never read out of bounds.
+
+/// Drains a cursor over `entry` of a one-entry slice with `blob`.
+void walk(const std::vector<std::uint8_t>& blob, const lut::IndexEntry& entry) {
+  const lut::SectionView view{{&entry, 1}, blob};
+  const std::string context = "<test>";
+  lut::RecordCursor cur(view, entry, context);
+  while (cur.next()) {
+  }
+}
+
+// One well-formed record: 1 edge from rank point (0,0) to (1,1).
+const std::vector<std::uint8_t> kOneRecord = {1, 0x00, 0x11};
+
+TEST(RecordCursor, RejectsEntrySpanOutsideTheBlob) {
+  EXPECT_THROW(walk(kOneRecord, {7, 2, 1, 5}), FormatError);
+  // offset + nbytes overflowing u64 must not wrap back into the blob.
+  EXPECT_THROW(walk(kOneRecord, {7, ~0ULL, 1, 3}), FormatError);
+}
+
+TEST(RecordCursor, RejectsCountBeyondItsByteSpan) {
+  EXPECT_NO_THROW(walk(kOneRecord, {7, 0, 1, 3}));
+  EXPECT_THROW(walk(kOneRecord, {7, 0, 2, 3}), FormatError);
+}
+
+TEST(RecordCursor, RejectsEdgeCountOverrun) {
+  EXPECT_THROW(walk({5, 0x00, 0x11}, {7, 0, 1, 3}), FormatError);
+}
+
+TEST(RecordCursor, RejectsTrailingBytes) {
+  EXPECT_THROW(walk({1, 0x00, 0x11, 0xAA}, {7, 0, 1, 4}), FormatError);
 }
 
 }  // namespace

@@ -530,6 +530,8 @@ TEST(Serve, ReloadSwapsEngineBetweenBatchesWithoutChangingAnswers) {
 }
 
 TEST(Serve, PerClientTagsLandInTheEventStream) {
+  if (!obs::compiled_in())
+    GTEST_SKIP() << "net event records require PATLABOR_OBS=ON";
   const std::string events_file =
       "/tmp/pl_serve_test_events_" + std::to_string(::getpid()) + ".jsonl";
   obs::EventSink sink(events_file, {.deterministic = true});

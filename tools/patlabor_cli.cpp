@@ -3,7 +3,7 @@
 //   patlabor_cli gen  <uniform|clustered|smoothed> <count> <degree> <out.nets>
 //                     [seed] [kappa]
 //   patlabor_cli route <in.nets> [--method <name>] [--params a,b,...]
-//                      [--lut <path>] [--lut-heap] [--lambda N] [--jobs N]
+//                      [--lut <path>] [--lambda N] [--jobs N]
 //                      [--no-cache] [--csv <out.csv>] [--stats]
 //                      [--trace <out.json>] [--events <out.jsonl>]
 //                      [--events-deterministic] [--metrics-dump <out.prom>]
@@ -14,17 +14,17 @@
 //                       [--checkpoint-every N] [--resume]
 //   patlabor_cli lut info <table.bin>   (alias: lutinfo)
 //
-// route --lut maps format-v2 tables read-only (open()): queries serve
-// straight from the page cache and concurrent processes share one physical
-// copy; --lut-heap forces the old private heap parse.  lutgen --checkpoint
+// route --lut maps the format-v2 table read-only (open(), which verifies
+// its checksums): queries serve straight from the page cache and
+// concurrent processes share one physical copy.  lutgen --checkpoint
 // makes generation atomically checkpoint its progress so a killed run
 // continues with --resume, producing a content_hash-identical table; the
 // PATLABOR_LUTGEN_ABORT_AFTER=N env var aborts after N merged patterns
 // (exit code 75) to exercise exactly that path.
 //
 // lut info prints the container header, per-degree stats, section sizes
-// and the content hash for v1 and v2 files (and checkpoints) without
-// loading any topology into the heap.
+// and the content hash of a table or checkpoint file without loading any
+// topology into the heap.
 //
 // route --remote <socket> sends the nets to a running patlabord over its
 // wire protocol instead of routing in-process (serve::Client); frontiers
@@ -90,7 +90,7 @@ int usage() {
       "  patlabor_cli gen <uniform|clustered|smoothed> <count> <degree> "
       "<out.nets> [seed] [kappa]\n"
       "  patlabor_cli route <in.nets> [--method <name>] [--params a,b,...] "
-      "[--lut <path>] [--lut-heap] [--lambda N] [--jobs N] [--no-cache] "
+      "[--lut <path>] [--lambda N] [--jobs N] [--no-cache] "
       "[--csv <out.csv>] [--stats] [--trace <out.json>] "
       "[--events <out.jsonl>] [--events-deterministic] "
       "[--metrics-dump <out.prom>] [--remote <socket>]\n"
@@ -314,14 +314,11 @@ int cmd_route(int argc, char** argv) {
   bool stats = false;
   bool no_cache = false;
   bool events_deterministic = false;
-  bool lut_heap = false;
   std::size_t lambda = 9;
   std::size_t jobs = 0;  // 0 = default (PATLABOR_JOBS env / hardware)
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--lut") == 0 && i + 1 < argc) {
       lut_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--lut-heap") == 0) {
-      lut_heap = true;
     } else if (std::strcmp(argv[i], "--method") == 0 && i + 1 < argc) {
       request.method = argv[++i];
       try {
@@ -364,11 +361,11 @@ int cmd_route(int argc, char** argv) {
   if (!remote_socket.empty()) {
     // Engine configuration belongs to the daemon; accepting these locally
     // would silently answer under a different config than requested.
-    if (!lut_path.empty() || lut_heap || no_cache || lambda != 9 ||
-        jobs != 0 || !events_path.empty())
+    if (!lut_path.empty() || no_cache || lambda != 9 || jobs != 0 ||
+        !events_path.empty())
       throw CliError(
-          "--remote is incompatible with --lut/--lut-heap/--lambda/--jobs/"
-          "--no-cache/--events (configure the daemon instead)");
+          "--remote is incompatible with --lut/--lambda/--jobs/--no-cache/"
+          "--events (configure the daemon instead)");
     return route_remote(remote_socket, in, request, csv_path);
   }
 
@@ -414,8 +411,7 @@ int cmd_route(int argc, char** argv) {
     engine::Engine eng(eopt);
     if (!lut_path.empty()) {
       PL_SPAN("lut.load");
-      eng.adopt_table(lut_heap ? lut::LookupTable::load(lut_path)
-                               : lut::LookupTable::open(lut_path));
+      eng.adopt_table(lut::LookupTable::open(lut_path));
     }
 
     std::vector<geom::Net> nets;
@@ -532,31 +528,26 @@ int cmd_lutgen(int argc, char** argv) {
 }
 
 /// lut info: container metadata straight off the file — header fields,
-/// per-degree stats, section table, checksums, content hash — with no
-/// topology ever loaded into the heap (v2 is inspected through a read-only
-/// mapping, v1 is streamed).
+/// per-degree stats, section table, checksums, content hash — through a
+/// read-only mapping, with no topology ever loaded into the heap.
 int cmd_lutinfo(int argc, char** argv, int path_arg) {
   if (argc < path_arg + 1) return usage();
   const std::string path = argv[path_arg];
   const lut::TableFileReport rep = lut::inspect_table_file(path);
-  std::printf("%s: PatLabor lookup table, format v%d%s\n", path.c_str(),
-              rep.version, rep.checkpoint ? " (generation checkpoint)" : "");
+  std::printf("%s: PatLabor lookup table, format v%u%s\n", path.c_str(),
+              lut::kFormatVersion,
+              rep.checkpoint ? " (generation checkpoint)" : "");
   std::printf("  file size      %s bytes\n",
               util::with_commas(static_cast<std::int64_t>(rep.file_size))
                   .c_str());
-  if (rep.version >= 2)
-    std::printf("  lambda         %u\n", rep.lambda);
+  std::printf("  lambda         %u\n", rep.lambda);
   std::printf("  max degree     %d\n", rep.max_degree);
-  if (rep.version >= 2)
-    std::printf("  content hash   %016llx (stored), %016llx (computed)%s\n",
-                static_cast<unsigned long long>(rep.stored_content_hash),
-                static_cast<unsigned long long>(rep.computed_content_hash),
-                rep.stored_content_hash == rep.computed_content_hash
-                    ? ""
-                    : "  ** MISMATCH **");
-  else
-    std::printf("  content hash   %016llx (computed; v1 stores none)\n",
-                static_cast<unsigned long long>(rep.computed_content_hash));
+  std::printf("  content hash   %016llx (stored), %016llx (computed)%s\n",
+              static_cast<unsigned long long>(rep.stored_content_hash),
+              static_cast<unsigned long long>(rep.computed_content_hash),
+              rep.stored_content_hash == rep.computed_content_hash
+                  ? ""
+                  : "  ** MISMATCH **");
   if (rep.checkpoint)
     std::printf("  checkpoint     degree %d in progress, %llu/%llu patterns "
                 "merged\n",

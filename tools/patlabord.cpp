@@ -1,15 +1,15 @@
 // patlabord — the routing daemon: serves engine::Engine over an AF_UNIX
 // socket speaking the versioned frame protocol (src/patlabor/serve/).
 //
-//   patlabord <socket_path> [--lut <path>] [--lut-heap] [--lambda N]
+//   patlabord <socket_path> [--lut <path>] [--lambda N]
 //             [--jobs N] [--no-cache] [--max-batch N] [--events <out.jsonl>]
 //             [--events-deterministic] [--metrics-dump <out.prom>]
 //             [--flight-dump <out.jsonl>]
 //
-// --lut memory-maps format-v2 tables read-only: the daemon starts without
-// parsing the table, queries serve from the page cache, and N daemons
-// pointed at the same file share one physical copy.  --lut-heap forces the
-// legacy private heap parse (v1 files always take it).
+// --lut memory-maps the format-v2 table read-only (lut::LookupTable::open,
+// which verifies its checksums): the daemon starts without parsing the
+// table, queries serve from the page cache, and N daemons pointed at the
+// same file share one physical copy.
 //
 // The daemon accepts concurrent client connections (tools/patlabor_client,
 // serve::Client, or patlabor_cli route --remote), coalescing in-flight
@@ -58,7 +58,7 @@ using namespace patlabor;
 int usage() {
   std::fprintf(
       stderr,
-      "usage: patlabord <socket_path> [--lut <path>] [--lut-heap] [--lambda N] "
+      "usage: patlabord <socket_path> [--lut <path>] [--lambda N] "
       "[--jobs N] "
       "[--no-cache] [--max-batch N] [--events <out.jsonl>] "
       "[--events-deterministic] [--metrics-dump <out.prom>] "
@@ -89,8 +89,6 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--lut") == 0 && i + 1 < argc) {
       options.lut_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--lut-heap") == 0) {
-      options.lut_heap = true;
     } else if (std::strcmp(argv[i], "--lambda") == 0 && i + 1 < argc) {
       options.engine.lambda = parse_size(argv[++i], "lambda", 1);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
