@@ -1,21 +1,17 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build + full ctest, a repeat-under-load pass
 # over the CLI-trace / obs / LUT-format tests (exit-time lifetime bugs
-# surface only under parallel load), the scaling gate (10k-net
-# jobs sweep -> patlabor_scaling must account for the wall clock AND clear
-# the speedup bar on >=4-core hosts; auto-waived on narrower machines),
-# the obsdiff regression gate (two-run self-compare + perturbed-seed
-# failure path, under PATLABOR_OBS ON and OFF builds; the OFF build also
-# runs the obs, event, CLI-trace and serve tests), the metric-catalog
-# lint (every registered metric name documented in DESIGN.md §6.2), the
-# LUT storage gates (routing through a mapped table byte-identical to
-# routing without one, kill-and-resume lutgen hash match, the
-# bench_lut_load page-sharing bar, two concurrent daemons on one mapped
-# table), the
-# daemon smoke gate (patlabord serving two concurrent clients whose CSVs
-# must be byte-identical to a direct patlabor_cli route, nonzero serve.*
-# metrics, the stats wire frame, a SIGQUIT flight-recorder dump, then a
-# graceful SIGTERM drain), the obsdiff-over-daemon gate (daemon event
+# surface only under parallel load), the obsdiff regression gate (two-run
+# self-compare + perturbed-seed failure path, under PATLABOR_OBS ON and
+# OFF builds; the OFF build also runs the obs, event, CLI-trace and serve
+# tests), the metric-catalog lint (every registered metric name documented
+# in DESIGN.md §6.2), the LUT storage gates (routing through a mapped table
+# byte-identical to routing without one, kill-and-resume lutgen hash
+# match, the bench_lut_load page-sharing bar, two concurrent daemons on one
+# mapped table), the daemon smoke gate (patlabord serving two concurrent
+# clients whose CSVs must be byte-identical to a direct patlabor_cli
+# route, nonzero serve.* metrics, the stats wire frame, a SIGQUIT
+# flight-recorder dump, then a graceful SIGTERM drain), the obsdiff-over-daemon gate (daemon event
 # stream quality-identical to a direct engine run; a weaker-method
 # perturbation must trip it), an ASan+UBSan pass over the arena-backed DW
 # solvers and the SolutionSet kernels, then a ThreadSanitizer pass over
@@ -23,15 +19,15 @@
 # scheduler and the pool timeline/TimedMutex instrumentation),
 # observability (obs/) and service (serve/) tests.
 #
-# Bench artifacts land in $PATLABOR_BENCH_OUT when set (the analyzer reads
-# from the same place), else in build/bench/bench/out as before.
+# Throughput, scaling and latency are measured by perfbench/ (see
+# perfbench/README.md), not gated here.  bench_lut_load's artifacts land in
+# $PATLABOR_BENCH_OUT when set, else in build/bench/bench/out.
 #
-#   scripts/verify.sh            # everything (10k-net scaling sweep)
-#   scripts/verify.sh --quick    # tier-1 build + ctest + the 36-net smoke
-#                                # sweep and attribution check + the daemon
-#                                # smoke and obsdiff-over-daemon gates (no
-#                                # 10k sweep, no sanitizer passes, no
-#                                # CLI-level obsdiff / OBS=OFF builds)
+#   scripts/verify.sh            # everything
+#   scripts/verify.sh --quick    # tier-1 build + ctest + the daemon smoke,
+#                                # obsdiff-over-daemon and LUT storage gates
+#                                # (no sanitizer passes, no CLI-level
+#                                # obsdiff / OBS=OFF builds)
 #   scripts/verify.sh --no-tsan  # skip the TSan pass
 #   scripts/verify.sh --no-asan  # skip the ASan pass
 set -euo pipefail
@@ -46,9 +42,8 @@ for arg in "$@"; do
   [[ "$arg" == "--quick" ]] && quick=1
 done
 
-# Honor PATLABOR_BENCH_OUT for both the benches and the analyzer that
-# reads their output; default to the historical build/bench/bench/out
-# (benches run with cwd build/bench and default to bench/out under it).
+# Honor PATLABOR_BENCH_OUT; default to build/bench/bench/out (benches run
+# with cwd build/bench and default to bench/out under it).
 bench_out="${PATLABOR_BENCH_OUT:-$PWD/build/bench/bench/out}"
 
 # Daemon smoke gate: patlabord must serve two concurrent clients with
@@ -304,11 +299,6 @@ cmake --build build -j
 (cd build && PATLABOR_CACHE=1 ctest --output-on-failure -j)
 
 if [[ $quick -eq 1 ]]; then
-  echo "== scaling smoke: 36-net sweep + attribution analysis =="
-  (cd build/bench && REPRO_SCALE="${REPRO_SCALE:-0.5}" \
-    PATLABOR_BENCH_OUT="$bench_out" ./bench_route_batch --scaling-sweep)
-  ./build/tools/patlabor_scaling \
-    "$bench_out/BENCH_route_batch_scaling.json"
   serve_smoke
   serve_obsdiff
   lut_storage_gate
@@ -329,16 +319,6 @@ echo "== lut storage bench: open cost + cross-process page sharing =="
 (cd build/bench && PATLABOR_BENCH_OUT="$bench_out" ./bench_lut_load)
 
 lut_daemon_share_gate
-
-echo "== engine cache bench: cold/warm/nocache bit-identity =="
-(cd build/bench && REPRO_SCALE="${REPRO_SCALE:-0.5}" \
-  PATLABOR_BENCH_OUT="$bench_out" ./bench_engine_cache)
-
-echo "== scaling gate: 10k-net jobs sweep + attribution + speedup bar =="
-(cd build/bench && REPRO_SCALE="${REPRO_SCALE:-0.5}" \
-  PATLABOR_BENCH_OUT="$bench_out" ./bench_route_batch --scaling-sweep --large)
-./build/tools/patlabor_scaling \
-  "$bench_out/BENCH_route_batch_scaling.json"
 
 echo "== obsdiff gate: self-compare + perturbed seed (PATLABOR_OBS=ON) =="
 (

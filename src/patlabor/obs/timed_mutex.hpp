@@ -85,12 +85,6 @@ class TimedMutex {
     return s;
   }
 
-  void reset_stats() {
-    acquisitions_.store(0, std::memory_order_relaxed);
-    contentions_.store(0, std::memory_order_relaxed);
-    wait_us_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   void mirror_contention(std::uint64_t waited_us) {
     // Registration (a registry mutex) is paid once per instance, and only
@@ -129,7 +123,6 @@ class TimedMutex {
   void unlock() { mu_.unlock(); }
 
   LockStats stats() const { return {}; }
-  void reset_stats() {}
 
  private:
   std::mutex mu_;

@@ -152,19 +152,6 @@ TraceSpan::~TraceSpan() {
   b.events.push_back(std::move(e));
 }
 
-void record_span(std::string name, std::uint64_t ts_us, std::uint64_t dur_us) {
-  if (!enabled()) return;
-  ThreadBuf& b = local_buf();
-  TraceEvent e;
-  e.name = std::move(name);
-  e.tid = b.tid;
-  e.depth = b.depth;
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  std::lock_guard<std::mutex> lock(b.mu);
-  b.events.push_back(std::move(e));
-}
-
 std::vector<TraceEvent> drain_trace() {
   std::vector<TraceEvent> out;
   BufRegistry& r = buf_registry();

@@ -50,13 +50,6 @@ class TraceSpan {
   bool active_ = false;
 };
 
-/// Records an already-timed complete event into the calling thread's
-/// buffer at the thread's current nesting depth — for callers that took
-/// the timestamps themselves (e.g. the pool's per-task timeline, which
-/// shares one clock read between trace and worker accounting).  No-op
-/// when recording is disabled.
-void record_span(std::string name, std::uint64_t ts_us, std::uint64_t dur_us);
-
 /// Names the calling thread's lane in trace output (e.g. "pool.worker-3").
 /// Safe to call whether or not recording is enabled; the last name set for
 /// a thread wins.  Pool workers register themselves on startup.

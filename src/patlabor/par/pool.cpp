@@ -141,13 +141,17 @@ struct Batch {
 #else
     (void)first_claim;
 #endif
-    try {
-      (*fn)(i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (i < err_index) {
-        err_index = i;
-        err = std::current_exception();
+    {
+      // Opened around the task, so the task's own spans nest under it.
+      PL_SPAN("pool.task");
+      try {
+        (*fn)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (i < err_index) {
+          err_index = i;
+          err = std::current_exception();
+        }
       }
     }
 #if PATLABOR_OBS_ENABLED
@@ -156,7 +160,6 @@ struct Batch {
       if (outermost)
         lane.busy_us->fetch_add(t1 - t0, std::memory_order_relaxed);
       lane.tasks->fetch_add(1, std::memory_order_relaxed);
-      obs::record_span("pool.task", t0, t1 - t0);
     }
 #endif
     if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
@@ -211,34 +214,6 @@ struct Batch {
 /// pointer matches t_worker_pool (workers never migrate between pools).
 thread_local const void* t_worker_pool = nullptr;
 thread_local std::size_t t_worker_lane = 0;
-
-#if PATLABOR_OBS_ENABLED
-/// run_indexed nesting depth on this thread; only depth-1 non-worker
-/// batches count toward ThreadPool::batch_wall_us().
-thread_local int t_run_depth = 0;
-
-/// RAII accumulator for the top-level batch wall clock.
-class BatchWallScope {
- public:
-  BatchWallScope(std::atomic<std::uint64_t>& wall, bool top_candidate,
-                 bool recording) {
-    ++t_run_depth;
-    if (recording && top_candidate && t_run_depth == 1) {
-      acc_ = &wall;
-      t0_ = obs::now_us();
-    }
-  }
-  ~BatchWallScope() {
-    --t_run_depth;
-    if (acc_ != nullptr)
-      acc_->fetch_add(obs::now_us() - t0_, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t>* acc_ = nullptr;
-  std::uint64_t t0_ = 0;
-};
-#endif  // PATLABOR_OBS_ENABLED
 
 }  // namespace
 
@@ -321,20 +296,19 @@ void ThreadPool::run_indexed(std::size_t n,
   if (impl_ == nullptr || n == 1) {
 #if PATLABOR_OBS_ENABLED
     if (obs::enabled()) {
-      BatchWallScope wall(batch_wall_us_, lane == size_ - 1, true);
       LaneStats& ls = lanes_[lane];
       for (std::size_t i = 0; i < n; ++i) {
         const bool outermost = t_task_depth == 0;
         const std::uint64_t t0 = obs::now_us();
         {
           TaskDepthGuard depth_guard;
+          PL_SPAN("pool.task");
           fn(i);
         }
         const std::uint64_t t1 = obs::now_us();
         if (outermost)
           ls.busy_us.fetch_add(t1 - t0, std::memory_order_relaxed);
         ls.tasks.fetch_add(1, std::memory_order_relaxed);
-        obs::record_span("pool.task", t0, t1 - t0);
       }
       return;
     }
@@ -348,7 +322,6 @@ void ThreadPool::run_indexed(std::size_t n,
 #if PATLABOR_OBS_ENABLED
   const bool rec = obs::enabled();
   if (rec) batch->submit_us = obs::now_us();
-  BatchWallScope wall(batch_wall_us_, lane == size_ - 1, rec);
 #endif
   std::size_t depth = 0;
   {
@@ -410,7 +383,6 @@ void ThreadPool::run_sharded(std::size_t n,
 #if PATLABOR_OBS_ENABLED
   const bool rec = obs::enabled();
   if (rec) batch->submit_us = obs::now_us();
-  BatchWallScope wall(batch_wall_us_, lane == size_ - 1, rec);
 #endif
   std::size_t depth = 0;
   {
@@ -455,32 +427,6 @@ std::vector<WorkerStats> ThreadPool::worker_stats() const {
         lanes_[i].stolen_tasks.load(std::memory_order_relaxed);
   }
   return out;
-}
-
-std::uint64_t ThreadPool::batch_wall_us() const {
-  return batch_wall_us_.load(std::memory_order_relaxed);
-}
-
-PoolLockStats ThreadPool::lock_stats() const {
-  PoolLockStats out;
-  if (impl_ == nullptr) return out;
-  const obs::LockStats s = impl_->mu.stats();
-  out.acquisitions = s.acquisitions;
-  out.contentions = s.contentions;
-  out.wait_us = s.wait_us;
-  return out;
-}
-
-void ThreadPool::reset_stats() {
-  for (std::size_t i = 0; i < size_; ++i) {
-    lanes_[i].tasks.store(0, std::memory_order_relaxed);
-    lanes_[i].busy_us.store(0, std::memory_order_relaxed);
-    lanes_[i].queue_wait_us.store(0, std::memory_order_relaxed);
-    lanes_[i].steals.store(0, std::memory_order_relaxed);
-    lanes_[i].stolen_tasks.store(0, std::memory_order_relaxed);
-  }
-  batch_wall_us_.store(0, std::memory_order_relaxed);
-  if (impl_ != nullptr) impl_->mu.reset_stats();
 }
 
 namespace {

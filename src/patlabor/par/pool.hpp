@@ -39,14 +39,6 @@ struct WorkerStats {
   std::uint64_t stolen_tasks = 0;   ///< tasks acquired through those steals
 };
 
-/// Per-lane lock-wait totals of the pool's batch-queue mutex (see
-/// obs::TimedMutex); aggregate only — the queue mutex is shared.
-struct PoolLockStats {
-  std::uint64_t acquisitions = 0;
-  std::uint64_t contentions = 0;
-  std::uint64_t wait_us = 0;
-};
-
 /// Fixed-size worker pool.  `threads` is the total parallelism of a batch:
 /// the pool owns threads-1 workers and the submitting thread contributes
 /// the remaining lane while it waits.
@@ -86,17 +78,6 @@ class ThreadPool {
   /// batches drained by a worker are attributed to that worker's lane.
   std::vector<WorkerStats> worker_stats() const;
 
-  /// Accumulated wall time of *top-level* run_indexed batches (nested
-  /// batches submitted from a worker are already inside a top-level one).
-  std::uint64_t batch_wall_us() const;
-
-  /// Lock-wait totals of the batch-queue mutex.
-  PoolLockStats lock_stats() const;
-
-  /// Zeroes worker_stats() / batch_wall_us() / lock_stats() — scope a
-  /// measurement window without rebuilding the pool.
-  void reset_stats();
-
  private:
   struct Impl;
   /// One lane's counters, cache-line padded so concurrent lanes never
@@ -116,7 +97,6 @@ class ThreadPool {
   Impl* impl_ = nullptr;
   std::size_t size_ = 1;
   std::unique_ptr<LaneStats[]> lanes_;
-  std::atomic<std::uint64_t> batch_wall_us_{0};
 };
 
 /// Effective job count: the last set_jobs() value if any, else the

@@ -1,0 +1,52 @@
+// Allocation budget of the arena-backed table-generation DP: at one job,
+// generating the degree-4..5 tables must stay at or below 600 heap
+// allocations per stored topology.  The pre-arena state storage ran at
+// ~2300-5800 allocations per topology, the arena-backed DP at ~40-150.
+//
+// This binary replaces the global operator new with a counting forwarder.
+// The replacement is program-wide, so it lives in this one test binary.
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include <gtest/gtest.h>
+
+#include "patlabor/lut/lut.hpp"
+#include "patlabor/par/pool.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace patlabor {
+namespace {
+
+TEST(AllocBudget, TableGenerationStaysUnder600AllocsPerTopology) {
+  par::ThreadPool pool(1);  // inline: every allocation is the DP's own
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const lut::LookupTable table = lut::LookupTable::generate(5, {}, &pool);
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  std::uint64_t topologies = 0;
+  for (const auto& [degree, st] : table.stats()) topologies += st.topologies;
+  ASSERT_GT(topologies, 0u);
+  const double per_topology =
+      static_cast<double>(allocs) / static_cast<double>(topologies);
+  EXPECT_LE(per_topology, 600.0)
+      << allocs << " allocations for " << topologies << " topologies";
+}
+
+}  // namespace
+}  // namespace patlabor

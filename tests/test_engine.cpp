@@ -379,6 +379,42 @@ TEST_F(EngineSuite, CacheOnAndOffAreBitIdenticalAcrossJobs) {
   // The cache actually participated: the corpus repeats every base shape.
   EXPECT_GT(on1.cache_stats().hits, 0u);
   EXPECT_EQ(off1.cache_stats().hits + off1.cache_stats().misses, 0u);
+  // A warm pass replays every net from the cache: same bits, hits only.
+  const engine::CacheStats cold = on1.cache_stats();
+  expect_same(on1.route_batch(nets), "warm");
+  const engine::CacheStats warm = on1.cache_stats();
+  EXPECT_EQ(warm.misses, cold.misses);
+  EXPECT_EQ(warm.hits, cold.hits + nets.size());
+}
+
+TEST_F(EngineSuite, PhaseTableSelfTimesAreNonNegativeAndBoundedByLanes) {
+  // pool.task must enclose the spans of the task it runs: otherwise the
+  // task's spans and pool.task are both charged to engine.route_batch and
+  // its self time goes negative.  Jobs 1 takes the pool's inline path,
+  // jobs 4 the sharded one.
+  if (!obs::compiled_in()) GTEST_SKIP() << "built without PATLABOR_OBS";
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::vector<Net> nets = corpus();
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    const engine::Engine eng(options(false, jobs));
+    obs::clear_trace();
+    const std::uint64_t t0 = obs::now_us();
+    eng.route_batch(nets);
+    const double wall = static_cast<double>(obs::now_us() - t0) * 1e-6;
+    const auto phases = obs::aggregate_phases(obs::drain_trace());
+    double self_sum = 0.0;
+    bool saw_task = false;
+    for (const obs::PhaseRow& row : phases) {
+      EXPECT_GE(row.self_s, 0.0) << row.name << " at jobs " << jobs;
+      self_sum += row.self_s;
+      saw_task |= row.name == "pool.task";
+    }
+    EXPECT_TRUE(saw_task) << "jobs " << jobs;
+    EXPECT_LE(self_sum, static_cast<double>(jobs) * wall + 1e-3)
+        << "jobs " << jobs;
+  }
+  obs::set_enabled(was_enabled);
 }
 
 TEST(FrontierCache, ConcurrentReadersAndWritersStayCoherent) {

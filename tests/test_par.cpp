@@ -131,7 +131,6 @@ TEST(RunSharded, StalledShardIsDrainedByStealing) {
   // steal, and the batch completing at all proves stealing unwedges a
   // stalled shard.
   par::ThreadPool pool(2);
-  pool.reset_stats();
   std::atomic<int> others_done{0};
   pool.run_sharded(4, [&](std::size_t i) {
     if (i == 0) {
@@ -266,19 +265,8 @@ TEST_F(PoolObservatory, WorkerStatsCoverEveryLaneAndSumToBatchSize) {
   }
   EXPECT_EQ(tasks, 64u);
   EXPECT_GT(busy, 0u);
-  EXPECT_GT(pool.batch_wall_us(), 0u);
   // The caller drains cooperatively, so its lane always claims work.
   EXPECT_GT(ws.back().tasks, 0u);
-
-  pool.reset_stats();
-  const auto zeroed = pool.worker_stats();
-  for (const auto& w : zeroed) {
-    EXPECT_EQ(w.tasks, 0u);
-    EXPECT_EQ(w.busy_us, 0u);
-    EXPECT_EQ(w.queue_wait_us, 0u);
-  }
-  EXPECT_EQ(pool.batch_wall_us(), 0u);
-  EXPECT_EQ(pool.lock_stats().wait_us, 0u);
 }
 
 TEST_F(PoolObservatory, InlinePoolAccountsTheCallerLane) {
@@ -290,8 +278,6 @@ TEST_F(PoolObservatory, InlinePoolAccountsTheCallerLane) {
   ASSERT_EQ(ws.size(), 1u);
   EXPECT_EQ(ws[0].tasks, 8u);
   EXPECT_GT(ws[0].busy_us, 0u);
-  EXPECT_GT(pool.batch_wall_us(), 0u);
-  EXPECT_EQ(pool.lock_stats().acquisitions, 0u);  // no queue, no lock
 }
 
 TEST_F(PoolObservatory, NestedBatchesDoNotDoubleCountBusyTime) {
@@ -311,14 +297,14 @@ TEST_F(PoolObservatory, NestedBatchesDoNotDoubleCountBusyTime) {
   EXPECT_LE(ws[0].busy_us, elapsed + 1000u);
   EXPECT_GE(ws[0].busy_us, 8000u);  // 4 nested sleeps of 2ms
   EXPECT_EQ(ws[0].tasks, 1u + 4u);  // task counts do include nested tasks
-  // Only the top-level batch counts toward the batch wall.
-  EXPECT_LE(pool.batch_wall_us(), elapsed + 1000u);
 
   // Multi-lane smoke: nested work spread across workers still sums.
   par::ThreadPool pool2(2);
+  const std::uint64_t t1 = obs::now_us();
   pool2.run_indexed(2, [&](std::size_t) {
     pool2.run_indexed(4, [](std::size_t) {});
   });
+  const std::uint64_t elapsed2 = obs::now_us() - t1;
   std::uint64_t tasks = 0;
   std::uint64_t max_busy = 0;
   for (const auto& w : pool2.worker_stats()) {
@@ -326,7 +312,7 @@ TEST_F(PoolObservatory, NestedBatchesDoNotDoubleCountBusyTime) {
     max_busy = std::max(max_busy, w.busy_us);
   }
   EXPECT_EQ(tasks, 2u + 2u * 4u);
-  EXPECT_LE(max_busy, pool2.batch_wall_us() + 1000u);
+  EXPECT_LE(max_busy, elapsed2 + 1000u);
 }
 
 TEST_F(PoolObservatory, StatsStayZeroWhileRuntimeDisabled) {
@@ -339,8 +325,6 @@ TEST_F(PoolObservatory, StatsStayZeroWhileRuntimeDisabled) {
     EXPECT_EQ(w.tasks, 0u);
     EXPECT_EQ(w.busy_us, 0u);
   }
-  EXPECT_EQ(pool.batch_wall_us(), 0u);
-  EXPECT_EQ(pool.lock_stats().acquisitions, 0u);
 }
 
 TEST_F(PoolObservatory, PerTaskSpansLandInWorkerTraceLanes) {
