@@ -15,7 +15,7 @@
 # stream quality-identical to a direct engine run; a weaker-method
 # perturbation must trip it), an ASan+UBSan pass over the arena-backed DW
 # solvers and the SolutionSet kernels, then a ThreadSanitizer pass over
-# the parallel execution layer (par/, including the work-stealing
+# the parallel execution layer (par/, including the shared-counter
 # scheduler and the pool timeline/TimedMutex instrumentation),
 # observability (obs/) and service (serve/) tests.
 #

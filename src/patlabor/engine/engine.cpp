@@ -224,15 +224,15 @@ std::vector<RouteResponse> Engine::route_batch_impl(
     std::span<const geom::Net> nets, RequestAt&& request_at,
     std::vector<obs::NetEvent>* events_out) const {
   PL_SPAN("engine.route_batch");
-  // One coarse task per net, sharded across the pool lanes with tail
-  // stealing; a net's nested candidate evaluation runs inline on its
+  // One coarse task per net, claimed by the pool lanes from a shared
+  // counter; a net's nested candidate evaluation runs inline on its
   // worker (inline_pool), so workers never block on nested batches and a
   // batch of N nets is exactly N scheduler tasks.
   par::ThreadPool& nested = par::inline_pool();
   if (!obs::compiled_in()) events_out = nullptr;
   obs::EventSink* sink = events_out != nullptr ? nullptr : event_sink();
   if (events_out == nullptr && sink == nullptr)
-    return par::parallel_transform_sharded(
+    return par::parallel_transform(
         nets.size(),
         [&](std::size_t i) {
           return route_impl(nets[i], request_at(i), nullptr, &nested);
@@ -242,13 +242,13 @@ std::vector<RouteResponse> Engine::route_batch_impl(
   // Collected events land in disjoint slots of the pre-sized vector (the
   // caller owns emission order); streamed events go through an ordered
   // flush so records land in the file in net order regardless of
-  // scheduling (or stealing).
+  // scheduling.
   std::optional<par::OrderedSink<obs::NetEvent>> ordered;
   if (events_out != nullptr)
     events_out->resize(nets.size());
   else
     ordered.emplace([sink](obs::NetEvent&& e) { sink->emit(e); });
-  auto out = par::parallel_transform_sharded(
+  auto out = par::parallel_transform(
       nets.size(),
       [&](std::size_t i) {
         obs::NetEvent streamed;

@@ -119,9 +119,9 @@ class Engine {
                       const RouteRequest& request = {}) const;
 
   /// Routes every net (in parallel over the engine's pool), results in
-  /// input order, bit-identical for every pool size.  The batch is sharded
-  /// by net across the pool lanes with work stealing for tail imbalance
-  /// (par::ThreadPool::run_sharded); each net's nested work (candidate
+  /// input order, bit-identical for every pool size.  Each net is one pool
+  /// task, claimed by the lanes from a shared counter
+  /// (par::ThreadPool::run_indexed); each net's nested work (candidate
   /// evaluation) runs inline on its worker, so the scheduler only ever
   /// sees coarse net-granularity tasks.
   std::vector<RouteResponse> route_batch(std::span<const geom::Net> nets,
@@ -130,7 +130,7 @@ class Engine {
   /// Heterogeneous batch: one request per net (requests.size() must equal
   /// nets.size()).  This is the admission-queue shape of the daemon — a
   /// coalesced batch mixes clients, methods and tags — with the same
-  /// sharded scheduling and determinism contract as the uniform overload.
+  /// scheduling and determinism contract as the uniform overload.
   std::vector<RouteResponse> route_batch(
       std::span<const geom::Net> nets,
       std::span<const RouteRequest> requests) const;

@@ -8,8 +8,9 @@
 // whole batch.
 //
 // The callback runs under the sink's mutex — it must be fast and must not
-// re-enter put().  Memory is bounded by the out-of-order window (at most
-// the pool's in-flight chunk count when fed from par::parallel_transform).
+// re-enter put().  Pending memory is every item put above the lowest index
+// not yet put: one slow item at index k holds back every later item put
+// while it runs, so at worst all but one item of a batch wait at once.
 #pragma once
 
 #include <cstddef>

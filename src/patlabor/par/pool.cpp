@@ -20,56 +20,69 @@ namespace patlabor::par {
 
 namespace {
 
-/// Pointers into one lane's counters.  The timing trio is null when obs
-/// accounting is off for this drain (obs disabled at submit time); the
-/// steal counters are always wired when the pool has lanes, because steal
-/// events are scheduler facts rather than timings.
+/// Pointers into one lane's counters (ThreadPool::LaneStats).
 struct LaneCounters {
   std::atomic<std::uint64_t>* tasks = nullptr;
   std::atomic<std::uint64_t>* busy_us = nullptr;
   std::atomic<std::uint64_t>* queue_wait_us = nullptr;
-  std::atomic<std::uint64_t>* steals = nullptr;
-  std::atomic<std::uint64_t>* stolen_tasks = nullptr;
 };
 
 #if PATLABOR_OBS_ENABLED
-/// Task-nesting depth on this thread.  A task that submits a nested batch
-/// executes inner tasks inside its own timed window, so lane busy time is
-/// accumulated only at depth 0 — otherwise nested work would be counted
-/// twice and per-lane busy could exceed wall clock.
+/// Task-nesting depth on this thread: 0 outside any pool task.
 thread_local int t_task_depth = 0;
 
-struct TaskDepthGuard {
-  TaskDepthGuard() noexcept { ++t_task_depth; }
-  ~TaskDepthGuard() { --t_task_depth; }
+/// Per-task lane accounting, live for the duration of one task (thrown or
+/// not).  A task that submits a nested batch executes inner tasks inside
+/// its own timed window, so busy time accrues only at depth 0 — otherwise
+/// nested work would be counted twice and lane busy could exceed wall.
+class TaskScope {
+ public:
+  explicit TaskScope(const LaneCounters& lane) noexcept
+      : lane_(obs::enabled() ? &lane : nullptr),
+        outermost_(t_task_depth++ == 0),
+        t0_(lane_ != nullptr ? obs::now_us() : 0) {}
+  ~TaskScope() {
+    --t_task_depth;
+    if (lane_ == nullptr) return;
+    if (outermost_)
+      lane_->busy_us->fetch_add(obs::now_us() - t0_,
+                                std::memory_order_relaxed);
+    lane_->tasks->fetch_add(1, std::memory_order_relaxed);
+  }
+  TaskScope(const TaskScope&) = delete;
+  TaskScope& operator=(const TaskScope&) = delete;
+
+ private:
+  const LaneCounters* lane_;
+  bool outermost_;
+  std::uint64_t t0_;
 };
 #endif  // PATLABOR_OBS_ENABLED
 
-/// One submitted batch of n index-tasks, drained cooperatively by workers
-/// and the submitting thread.  Two claiming modes share the struct: the
-/// shared-counter mode of run_indexed (next), and the sharded mode of
-/// run_sharded (one ShardRange per lane, owners popping the front and
-/// thieves chunk-stealing from the tail).
-struct Batch {
-  /// One lane's contiguous index range, packed {head:32, tail:32} into a
-  /// single atomic so owner pops and tail steals serialize through one CAS.
-  /// Indices in [head, tail) are unclaimed.
-  struct alignas(64) ShardRange {
-    std::atomic<std::uint64_t> range{0};
-  };
-  static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
-  static constexpr std::uint64_t pack(std::uint64_t head,
-                                      std::uint64_t tail) noexcept {
-    return (head << 32) | tail;
-  }
+/// Runs fn(i) with the per-task accounting shared by the pooled and the
+/// inline path: the lane's busy/tasks update and a `pool.task` span opened
+/// around the task, so the task's own spans nest under it.  Exceptions
+/// propagate to the caller.
+void run_task(const std::function<void(std::size_t)>& fn, std::size_t i,
+              const LaneCounters& lane) {
+#if PATLABOR_OBS_ENABLED
+  TaskScope scope(lane);
+#else
+  (void)lane;
+#endif
+  PL_SPAN("pool.task");
+  fn(i);
+}
 
+/// One submitted batch of n index-tasks, drained cooperatively by workers
+/// and the submitting thread, every lane claiming the next index from the
+/// shared counter `next`.
+struct Batch {
   const std::function<void(std::size_t)>* fn = nullptr;
   std::size_t n = 0;
   /// Submission timestamp (obs::now_us), 0 when telemetry was off.
   std::uint64_t submit_us = 0;
   std::atomic<std::size_t> next{0};
-  std::unique_ptr<ShardRange[]> shards;  // non-null => sharded mode
-  std::size_t num_shards = 0;
   std::atomic<std::size_t> done{0};
   std::mutex mu;
   std::condition_variable cv;
@@ -80,72 +93,24 @@ struct Batch {
   /// True once every index has been claimed (not necessarily finished);
   /// the batch can then leave the pool queue.
   bool fully_claimed() const noexcept {
-    if (shards == nullptr) return next.load(std::memory_order_relaxed) >= n;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      const std::uint64_t r = shards[s].range.load(std::memory_order_relaxed);
-      if ((r >> 32) < (r & 0xFFFFFFFFu)) return false;
-    }
-    return true;
+    return next.load(std::memory_order_relaxed) >= n;
   }
 
-  /// Owner-side pop: claims the lowest unclaimed index of `shard`, or npos.
-  std::size_t claim_front(ShardRange& shard) noexcept {
-    std::uint64_t cur = shard.range.load(std::memory_order_relaxed);
-    for (;;) {
-      const std::uint64_t head = cur >> 32;
-      const std::uint64_t tail = cur & 0xFFFFFFFFu;
-      if (head >= tail) return npos;
-      if (shard.range.compare_exchange_weak(cur, pack(head + 1, tail),
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed))
-        return static_cast<std::size_t>(head);
-    }
-  }
-
-  /// Thief-side chunk steal: detaches the upper half (at least one index)
-  /// of `shard`'s remainder.  Returns {begin, end}, empty when nothing is
-  /// left.  Stealing from the tail keeps the owner's front pops and the
-  /// thief's range disjoint by construction.
-  std::pair<std::size_t, std::size_t> steal_back(ShardRange& shard) noexcept {
-    std::uint64_t cur = shard.range.load(std::memory_order_relaxed);
-    for (;;) {
-      const std::uint64_t head = cur >> 32;
-      const std::uint64_t tail = cur & 0xFFFFFFFFu;
-      if (head >= tail) return {0, 0};
-      const std::uint64_t take = (tail - head + 1) / 2;
-      if (shard.range.compare_exchange_weak(cur, pack(head, tail - take),
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed))
-        return {static_cast<std::size_t>(tail - take),
-                static_cast<std::size_t>(tail)};
-    }
-  }
-
-  /// Executes task i with the per-task accounting shared by both modes.
-  void run_task(std::size_t i, const LaneCounters& lane, bool& first_claim) {
+  void drain(const LaneCounters& lane) {
+    std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n) return;
 #if PATLABOR_OBS_ENABLED
-    std::uint64_t t0 = 0;
-    const bool rec = lane.tasks != nullptr && obs::enabled();
-    const bool outermost = t_task_depth == 0;
-    if (rec) {
-      t0 = obs::now_us();
-      if (first_claim) {
-        first_claim = false;
-        // Per-lane handoff latency: submit -> this lane's first claim.
-        if (submit_us != 0 && t0 > submit_us)
-          lane.queue_wait_us->fetch_add(t0 - submit_us,
-                                        std::memory_order_relaxed);
-      }
+    // Per-lane handoff latency: submit -> this lane's first claim.
+    if (submit_us != 0 && obs::enabled()) {
+      const std::uint64_t now = obs::now_us();
+      if (now > submit_us)
+        lane.queue_wait_us->fetch_add(now - submit_us,
+                                      std::memory_order_relaxed);
     }
-    TaskDepthGuard depth_guard;
-#else
-    (void)first_claim;
 #endif
-    {
-      // Opened around the task, so the task's own spans nest under it.
-      PL_SPAN("pool.task");
+    do {
       try {
-        (*fn)(i);
+        run_task(*fn, i, lane);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mu);
         if (i < err_index) {
@@ -153,60 +118,11 @@ struct Batch {
           err = std::current_exception();
         }
       }
-    }
-#if PATLABOR_OBS_ENABLED
-    if (rec) {
-      const std::uint64_t t1 = obs::now_us();
-      if (outermost)
-        lane.busy_us->fetch_add(t1 - t0, std::memory_order_relaxed);
-      lane.tasks->fetch_add(1, std::memory_order_relaxed);
-    }
-#endif
-    if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-      std::lock_guard<std::mutex> lock(mu);
-      cv.notify_all();
-    }
-  }
-
-  void drain(const LaneCounters& lane) {
-    bool first_claim = true;
-    for (std::size_t i;
-         (i = next.fetch_add(1, std::memory_order_relaxed)) < n;)
-      run_task(i, lane, first_claim);
-  }
-
-  /// Sharded drain for the lane `self`: exhaust the own range first, then
-  /// scan the other lanes round-robin and steal chunks until every shard
-  /// is empty.  Stolen chunks run in ascending index order; which lane ran
-  /// an index never affects the output (results land by index, events are
-  /// re-ordered by par::OrderedSink), so stealing preserves determinism.
-  void drain_sharded(std::size_t self, const LaneCounters& lane) {
-    bool first_claim = true;
-    if (self < num_shards) {
-      ShardRange& own = shards[self];
-      for (std::size_t i; (i = claim_front(own)) != npos;)
-        run_task(i, lane, first_claim);
-    }
-    for (;;) {
-      bool stole = false;
-      for (std::size_t off = 1; off <= num_shards; ++off) {
-        const std::size_t victim = (self + off) % num_shards;
-        const auto [begin, end] = steal_back(shards[victim]);
-        if (begin == end) continue;
-        stole = true;
-        if (lane.steals != nullptr) {
-          lane.steals->fetch_add(1, std::memory_order_relaxed);
-          lane.stolen_tasks->fetch_add(end - begin,
-                                       std::memory_order_relaxed);
-        }
-        PL_COUNT("par.pool.steals", 1);
-        PL_COUNT("par.pool.stolen_tasks", end - begin);
-        for (std::size_t i = begin; i < end; ++i)
-          run_task(i, lane, first_claim);
-        break;  // restart the scan so the nearest loaded lane is preferred
+      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+        std::lock_guard<std::mutex> lock(mu);
+        cv.notify_all();
       }
-      if (!stole) return;
-    }
+    } while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n);
   }
 };
 
@@ -231,6 +147,8 @@ struct ThreadPool::Impl {
     obs::set_thread_name("pool.worker-" + std::to_string(index));
     t_worker_pool = this;
     t_worker_lane = index;
+    LaneStats& ls = lanes[index];
+    const LaneCounters lc{&ls.tasks, &ls.busy_us, &ls.queue_wait_us};
     for (;;) {
       std::shared_ptr<Batch> batch;
       {
@@ -239,21 +157,10 @@ struct ThreadPool::Impl {
         if (stop && queue.empty()) return;
         batch = queue.front();
         // Leave the batch visible until exhausted so every idle worker can
-        // join it; drop it once all of its chunks have been claimed.
+        // join it; drop it once all of its indices have been claimed.
         if (batch->fully_claimed()) queue.pop_front();
       }
-      LaneCounters lc;
-#if PATLABOR_OBS_ENABLED
-      lc.tasks = &lanes[index].tasks;
-      lc.busy_us = &lanes[index].busy_us;
-      lc.queue_wait_us = &lanes[index].queue_wait_us;
-#endif
-      lc.steals = &lanes[index].steals;
-      lc.stolen_tasks = &lanes[index].stolen_tasks;
-      if (batch->shards != nullptr)
-        batch->drain_sharded(index, lc);
-      else
-        batch->drain(lc);
+      batch->drain(lc);
       std::lock_guard<obs::TimedMutex> lock(mu);
       if (!queue.empty() && queue.front() == batch && batch->fully_claimed())
         queue.pop_front();
@@ -292,36 +199,27 @@ std::size_t ThreadPool::lane_of_caller() const noexcept {
 void ThreadPool::run_indexed(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  const std::size_t lane = lane_of_caller();
-  if (impl_ == nullptr || n == 1) {
 #if PATLABOR_OBS_ENABLED
-    if (obs::enabled()) {
-      LaneStats& ls = lanes_[lane];
-      for (std::size_t i = 0; i < n; ++i) {
-        const bool outermost = t_task_depth == 0;
-        const std::uint64_t t0 = obs::now_us();
-        {
-          TaskDepthGuard depth_guard;
-          PL_SPAN("pool.task");
-          fn(i);
-        }
-        const std::uint64_t t1 = obs::now_us();
-        if (outermost)
-          ls.busy_us.fetch_add(t1 - t0, std::memory_order_relaxed);
-        ls.tasks.fetch_add(1, std::memory_order_relaxed);
-      }
-      return;
-    }
+  // Top-level batches only: nested batches submitted from inside a task
+  // (inline_pool candidate evaluation) stay uncounted at every width.
+  if (t_task_depth == 0) {
+    PL_COUNT("par.pool.batches", 1);
+    PL_COUNT("par.pool.tasks", n);
+    PL_HIST("par.pool.batch_tasks", n);
+  }
 #endif
-    for (std::size_t i = 0; i < n; ++i) fn(i);
+  LaneStats& ls = lanes_[lane_of_caller()];
+  const LaneCounters lc{&ls.tasks, &ls.busy_us, &ls.queue_wait_us};
+  if (impl_ == nullptr || n == 1) {
+    // Inline: in index order, stopping at the first throw.
+    for (std::size_t i = 0; i < n; ++i) run_task(fn, i, lc);
     return;
   }
   auto batch = std::make_shared<Batch>();
   batch->fn = &fn;
   batch->n = n;
 #if PATLABOR_OBS_ENABLED
-  const bool rec = obs::enabled();
-  if (rec) batch->submit_us = obs::now_us();
+  if (obs::enabled()) batch->submit_us = obs::now_us();
 #endif
   std::size_t depth = 0;
   {
@@ -332,87 +230,20 @@ void ThreadPool::run_indexed(std::size_t n,
   // Sampled on every submit: how many batches were pending at that moment.
   PL_GAUGE_SET("par.pool.queue_depth", depth);
   impl_->cv.notify_all();
-  LaneCounters lc;
-#if PATLABOR_OBS_ENABLED
-  if (rec) {
-    lc.tasks = &lanes_[lane].tasks;
-    lc.busy_us = &lanes_[lane].busy_us;
-    lc.queue_wait_us = &lanes_[lane].queue_wait_us;
-  }
-#endif
-  lc.steals = &lanes_[lane].steals;
-  lc.stolen_tasks = &lanes_[lane].stolen_tasks;
   // The submitting thread is a full participant.
-  if (batch->shards != nullptr)
-    batch->drain_sharded(lane, lc);
-  else
-    batch->drain(lc);
+  batch->drain(lc);
   {
     std::unique_lock<std::mutex> lock(batch->mu);
     batch->cv.wait(lock, [&] {
       return batch->done.load(std::memory_order_acquire) == batch->n;
     });
   }
-  PL_COUNT("par.pool.batches", 1);
-  PL_COUNT("par.pool.tasks", n);
-  PL_HIST("par.pool.batch_tasks", n);
   if (batch->err) std::rethrow_exception(batch->err);
 }
 
 void ThreadPool::run_sharded(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
-  // The inline fallback and 1-task batches have no imbalance to steal;
-  // shared-counter claiming is equivalent there (and run_indexed already
-  // carries the accounting), so delegate.
-  if (impl_ == nullptr || n <= 1) {
-    run_indexed(n, fn);
-    return;
-  }
-  const std::size_t lane = lane_of_caller();
-  auto batch = std::make_shared<Batch>();
-  batch->fn = &fn;
-  batch->n = n;
-  batch->num_shards = size_;
-  batch->shards = std::make_unique<Batch::ShardRange[]>(size_);
-  for (std::size_t k = 0; k < size_; ++k) {
-    const std::uint64_t begin = k * n / size_;
-    const std::uint64_t end = (k + 1) * n / size_;
-    batch->shards[k].range.store(Batch::pack(begin, end),
-                                 std::memory_order_relaxed);
-  }
-#if PATLABOR_OBS_ENABLED
-  const bool rec = obs::enabled();
-  if (rec) batch->submit_us = obs::now_us();
-#endif
-  std::size_t depth = 0;
-  {
-    std::lock_guard<obs::TimedMutex> lock(impl_->mu);
-    impl_->queue.push_back(batch);
-    depth = impl_->queue.size();
-  }
-  PL_GAUGE_SET("par.pool.queue_depth", depth);
-  impl_->cv.notify_all();
-  LaneCounters lc;
-#if PATLABOR_OBS_ENABLED
-  if (rec) {
-    lc.tasks = &lanes_[lane].tasks;
-    lc.busy_us = &lanes_[lane].busy_us;
-    lc.queue_wait_us = &lanes_[lane].queue_wait_us;
-  }
-#endif
-  lc.steals = &lanes_[lane].steals;
-  lc.stolen_tasks = &lanes_[lane].stolen_tasks;
-  batch->drain_sharded(lane, lc);
-  {
-    std::unique_lock<std::mutex> lock(batch->mu);
-    batch->cv.wait(lock, [&] {
-      return batch->done.load(std::memory_order_acquire) == batch->n;
-    });
-  }
-  PL_COUNT("par.pool.batches", 1);
-  PL_COUNT("par.pool.tasks", n);
-  PL_HIST("par.pool.batch_tasks", n);
-  if (batch->err) std::rethrow_exception(batch->err);
+  run_indexed(n, fn);
 }
 
 std::vector<WorkerStats> ThreadPool::worker_stats() const {
@@ -422,9 +253,6 @@ std::vector<WorkerStats> ThreadPool::worker_stats() const {
     out[i].busy_us = lanes_[i].busy_us.load(std::memory_order_relaxed);
     out[i].queue_wait_us =
         lanes_[i].queue_wait_us.load(std::memory_order_relaxed);
-    out[i].steals = lanes_[i].steals.load(std::memory_order_relaxed);
-    out[i].stolen_tasks =
-        lanes_[i].stolen_tasks.load(std::memory_order_relaxed);
   }
   return out;
 }
@@ -469,19 +297,6 @@ ThreadPool& global_pool() {
 ThreadPool& inline_pool() {
   static ThreadPool pool(1);
   return pool;
-}
-
-void parallel_for(std::size_t n, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& fn,
-                  ThreadPool* pool) {
-  if (n == 0) return;
-  if (grain == 0) grain = 1;
-  const std::size_t chunks = (n + grain - 1) / grain;
-  ThreadPool& p = pool != nullptr ? *pool : global_pool();
-  p.run_indexed(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * grain;
-    fn(begin, std::min(begin + grain, n));
-  });
 }
 
 std::uint64_t task_seed(std::uint64_t base_seed,

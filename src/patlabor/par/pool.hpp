@@ -1,5 +1,5 @@
-// Shared parallel execution layer: a fixed-size thread pool with chunked
-// parallel_for / parallel_transform and a deterministic ordered reduction.
+// Shared parallel execution layer: a fixed-size thread pool with an
+// index-ordered parallel_transform.
 //
 // Determinism contract: parallel_transform(n, fn) returns out[i] = fn(i)
 // merged in index order, so as long as fn(i) depends only on i (and
@@ -8,11 +8,12 @@
 // — a function of the task index, never of the executing thread — which
 // keeps randomized work on the same contract.
 //
-// Batches are drained cooperatively: the submitting thread executes chunks
-// alongside the workers, so a worker may itself submit a nested batch to
-// the same pool without deadlock (it just drains the inner batch in place).
-// A pool of size 1 (or a batch of one chunk) runs entirely inline on the
-// calling thread — the zero-dependency fallback path spawns nothing.
+// Batches are drained cooperatively: every lane — each worker and the
+// submitting thread — claims the next unclaimed index from one shared
+// atomic counter, so a worker may itself submit a nested batch to the same
+// pool without deadlock (it just drains the inner batch in place).  A pool
+// of size 1 (or a batch of one task) runs entirely inline on the calling
+// thread — the zero-dependency fallback path spawns nothing.
 #pragma once
 
 #include <atomic>
@@ -28,15 +29,14 @@ namespace patlabor::par {
 
 /// Per-lane execution accounting (one lane per worker thread plus one for
 /// the submitting caller).  The timing fields are zero when the obs runtime
-/// is disabled or instrumentation is compiled out (PATLABOR_OBS=OFF);
-/// steals / stolen_tasks are scheduler events, not timings, and are
-/// counted unconditionally.
+/// is disabled or instrumentation is compiled out (PATLABOR_OBS=OFF).
 struct WorkerStats {
   std::uint64_t tasks = 0;          ///< index-tasks executed on this lane
   std::uint64_t busy_us = 0;        ///< wall time spent inside task fns
   std::uint64_t queue_wait_us = 0;  ///< batch submit -> lane pickup latency
-  std::uint64_t steals = 0;         ///< steal events this lane performed
-  std::uint64_t stolen_tasks = 0;   ///< tasks acquired through those steals
+  /// Always 0: the pool does not steal.  Kept only because perfbench/
+  /// reads it for its par.steals metric.
+  std::uint64_t steals = 0;
 };
 
 /// Fixed-size worker pool.  `threads` is the total parallelism of a batch:
@@ -54,20 +54,13 @@ class ThreadPool {
   std::size_t size() const noexcept { return size_; }
 
   /// Runs fn(i) for every i in [0, n), blocking until all calls finished.
-  /// Exceptions are rethrown in the caller; when several chunks throw, the
-  /// one with the smallest index wins (deterministic for any pool size).
+  /// Lanes claim indices one at a time from a shared counter.  Exceptions
+  /// are rethrown in the caller; when several tasks throw, the one with the
+  /// smallest index wins (deterministic for any pool size).  On the inline
+  /// path tasks run in index order and the first throw stops the batch.
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Like run_indexed, but indices are pre-sharded into one contiguous
-  /// range per lane instead of claimed from a shared counter.  Each lane
-  /// pops its own range front-to-back; a lane whose range is exhausted
-  /// steals a chunk (half the remainder) from the *tail* of another lane's
-  /// range, so owners and thieves never contend for the same index.  Meant
-  /// for coarse tasks (one net each): the common case is zero shared-state
-  /// traffic per task, with stealing only for tail imbalance.  Every index
-  /// still executes exactly once and exceptions keep the lowest-index-wins
-  /// rule, so the parallel_transform determinism contract carries over
-  /// unchanged.  Requires n < 2^32.
+  /// Same as run_indexed.  Kept only because perfbench/ calls it.
   void run_sharded(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // ---- Concurrency observatory (all zero under PATLABOR_OBS=OFF or with
@@ -87,8 +80,6 @@ class ThreadPool {
     std::atomic<std::uint64_t> tasks{0};
     std::atomic<std::uint64_t> busy_us{0};
     std::atomic<std::uint64_t> queue_wait_us{0};
-    std::atomic<std::uint64_t> steals{0};
-    std::atomic<std::uint64_t> stolen_tasks{0};
   };
   /// The calling thread's lane index (its worker lane, or size_-1 for any
   /// non-worker submitter).
@@ -120,12 +111,6 @@ ThreadPool& global_pool();
 /// Safe to share across threads (the inline path only touches atomics).
 ThreadPool& inline_pool();
 
-/// Chunked parallel loop over [0, n): fn(begin, end) per chunk of at most
-/// `grain` indices.  `pool` defaults to the global pool.
-void parallel_for(std::size_t n, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& fn,
-                  ThreadPool* pool = nullptr);
-
 /// Ordered map: returns {fn(0), fn(1), ..., fn(n-1)}, computed in parallel
 /// but merged in index order.  fn must be callable concurrently.
 template <typename F>
@@ -135,21 +120,6 @@ auto parallel_transform(std::size_t n, F&& fn, ThreadPool* pool = nullptr)
   std::vector<R> out(n);
   ThreadPool& p = pool != nullptr ? *pool : global_pool();
   p.run_indexed(n, [&](std::size_t i) { out[i] = fn(i); });
-  return out;
-}
-
-/// parallel_transform on run_sharded: identical output (out[i] = fn(i),
-/// merged in index order — bit-identical for any pool size), but indices
-/// are claimed from per-lane ranges with tail stealing.  Use for coarse
-/// tasks where per-task shared-counter traffic and tail imbalance matter.
-template <typename F>
-auto parallel_transform_sharded(std::size_t n, F&& fn,
-                                ThreadPool* pool = nullptr)
-    -> std::vector<decltype(fn(std::size_t{}))> {
-  using R = decltype(fn(std::size_t{}));
-  std::vector<R> out(n);
-  ThreadPool& p = pool != nullptr ? *pool : global_pool();
-  p.run_sharded(n, [&](std::size_t i) { out[i] = fn(i); });
   return out;
 }
 

@@ -13,7 +13,7 @@
 //     (method, λ, degree) and pushed onto the admission queue;
 //   * the single dispatcher pops every queued job (up to max_batch),
 //     coalescing requests from *different* clients into one
-//     Engine::route_batch call on the work-stealing pool — so offered
+//     Engine::route_batch call on the engine's thread pool — so offered
 //     concurrency turns into batch parallelism, not per-request threads —
 //     then writes each response frame back to its client;
 //   * every job carries its client's tag, threaded through the per-net

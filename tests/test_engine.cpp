@@ -368,7 +368,7 @@ TEST_F(EngineSuite, CacheOnAndOffAreBitIdenticalAcrossJobs) {
     }
   };
   expect_same(r_off1, "off jobs=1");
-  // Wider pools exercise the sharded scheduler and its stealing; every
+  // Wider pools run the nets on several lanes in scheduling order; every
   // width must reproduce the jobs=1 bits, cache on and off.
   for (const std::size_t jobs : {std::size_t{2}, std::size_t{4},
                                  std::size_t{8}}) {
@@ -391,7 +391,7 @@ TEST_F(EngineSuite, PhaseTableSelfTimesAreNonNegativeAndBoundedByLanes) {
   // pool.task must enclose the spans of the task it runs: otherwise the
   // task's spans and pool.task are both charged to engine.route_batch and
   // its self time goes negative.  Jobs 1 takes the pool's inline path,
-  // jobs 4 the sharded one.
+  // jobs 4 the pooled one.
   if (!obs::compiled_in()) GTEST_SKIP() << "built without PATLABOR_OBS";
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);

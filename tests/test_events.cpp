@@ -136,8 +136,8 @@ TEST(EventSink, DeterministicFilesAreByteIdenticalAcrossJobs) {
     route_with_events(nets, p1, 1, /*deterministic=*/true, cache);
     const std::string a = read_file(p1);
     EXPECT_FALSE(a.empty());
-    // Every pool width must reproduce the jobs=1 file byte-for-byte; the
-    // sharded scheduler steals across lanes at these widths, and jobs=8
+    // Every pool width must reproduce the jobs=1 file byte-for-byte; nets
+    // finish out of order across lanes at these widths, and jobs=8
     // oversubscribes most CI boxes, but the ordered flush must still
     // serialize records in input order.
     for (const std::size_t jobs : {std::size_t{2}, std::size_t{4},

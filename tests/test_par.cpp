@@ -26,23 +26,6 @@
 namespace patlabor {
 namespace {
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    par::ThreadPool pool(threads);
-    EXPECT_EQ(pool.size(), threads);
-    for (std::size_t grain : {std::size_t{1}, std::size_t{3}, std::size_t{100}}) {
-      std::vector<std::atomic<int>> hits(257);
-      par::parallel_for(
-          hits.size(), grain,
-          [&](std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-          },
-          &pool);
-      for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-    }
-  }
-}
-
 TEST(ThreadPool, ParallelTransformMergesInIndexOrder) {
   par::ThreadPool pool(4);
   const auto out = par::parallel_transform(
@@ -53,7 +36,7 @@ TEST(ThreadPool, ParallelTransformMergesInIndexOrder) {
 
 TEST(ThreadPool, ZeroAndOneElementBatchesRunInline) {
   par::ThreadPool pool(4);
-  par::parallel_for(0, 1, [](std::size_t, std::size_t) { FAIL(); }, &pool);
+  pool.run_indexed(0, [](std::size_t) { FAIL(); });
   const auto one = par::parallel_transform(
       1, [](std::size_t i) { return i + 41; }, &pool);
   ASSERT_EQ(one.size(), 1u);
@@ -61,14 +44,17 @@ TEST(ThreadPool, ZeroAndOneElementBatchesRunInline) {
 }
 
 TEST(ThreadPool, LowestIndexExceptionWins) {
-  par::ThreadPool pool(4);
-  try {
-    pool.run_indexed(64, [](std::size_t i) {
-      if (i % 7 == 3) throw std::runtime_error("boom " + std::to_string(i));
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom 3");
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{4}, std::size_t{8}}) {
+    par::ThreadPool pool(threads);
+    try {
+      pool.run_indexed(64, [](std::size_t i) {
+        if (i % 7 == 3) throw std::runtime_error("boom " + std::to_string(i));
+      });
+      FAIL() << "expected an exception at pool size " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom 3") << "pool size " << threads;
+    }
   }
 }
 
@@ -90,49 +76,28 @@ TEST(ThreadPool, SequentialBatchesReuseWorkers) {
   }
 }
 
-TEST(RunSharded, CoversEveryIndexOnceForAnyPoolAndBatchSize) {
+TEST(RunIndexed, CoversEveryIndexOnceForAnyPoolAndBatchSize) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                               std::size_t{8}}) {
     par::ThreadPool pool(threads);
+    EXPECT_EQ(pool.size(), threads);
     for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                           std::size_t{7}, std::size_t{257},
                           std::size_t{1000}}) {
       std::vector<std::atomic<int>> hits(n);
-      pool.run_sharded(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+      pool.run_indexed(n, [&](std::size_t i) { hits[i].fetch_add(1); });
       for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
     }
   }
 }
 
-TEST(RunSharded, TransformMergesInIndexOrder) {
-  par::ThreadPool pool(4);
-  const auto out = par::parallel_transform_sharded(
-      1000, [](std::size_t i) { return i * i; }, &pool);
-  ASSERT_EQ(out.size(), 1000u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
-TEST(RunSharded, LowestIndexExceptionWins) {
-  par::ThreadPool pool(4);
-  try {
-    pool.run_sharded(64, [](std::size_t i) {
-      if (i % 7 == 3) throw std::runtime_error("boom " + std::to_string(i));
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom 3");
-  }
-}
-
-TEST(RunSharded, StalledShardIsDrainedByStealing) {
-  // Two lanes, four tasks: lane 0 owns {0, 1}, lane 1 owns {2, 3}.  Task 0
-  // spins until 1, 2 and 3 are all done — whichever lane claims it wedges
-  // there, so in EVERY schedule task 1 (or 0 itself) can only run via a
-  // steal, and the batch completing at all proves stealing unwedges a
-  // stalled shard.
+TEST(RunIndexed, SlowLowestIndexDoesNotBlockLaterIndices) {
+  // Task 0 spins until 1, 2 and 3 are all done: whichever lane claims it
+  // wedges there, so the batch completes only if the other lane keeps
+  // claiming past it.
   par::ThreadPool pool(2);
   std::atomic<int> others_done{0};
-  pool.run_sharded(4, [&](std::size_t i) {
+  pool.run_indexed(4, [&](std::size_t i) {
     if (i == 0) {
       while (others_done.load(std::memory_order_acquire) < 3)
         std::this_thread::yield();
@@ -140,34 +105,40 @@ TEST(RunSharded, StalledShardIsDrainedByStealing) {
       others_done.fetch_add(1, std::memory_order_acq_rel);
     }
   });
-  std::uint64_t steals = 0, stolen = 0;
-  for (const par::WorkerStats& w : pool.worker_stats()) {
-    steals += w.steals;
-    stolen += w.stolen_tasks;
-  }
-  EXPECT_GE(steals, 1u);
-  EXPECT_GE(stolen, 1u);
+  EXPECT_EQ(others_done.load(), 3);
 }
 
-TEST(RunSharded, StealHeavyStressCoversEveryIndex) {
-  // Deliberately skewed shards: every task of the first shard is much
-  // heavier than the rest, so the other lanes drain their own ranges and
-  // then live off steals.  Exercises concurrent claim_front/steal_back
-  // CAS traffic (the TSan pass in scripts/verify.sh runs this binary).
+TEST(RunIndexed, SkewedStressCoversEveryIndex) {
+  // Deliberately skewed batch: the first eighth of the indices is much
+  // heavier than the rest, so lanes finish at very different times while
+  // the others race on the shared counter (the TSan pass in
+  // scripts/verify.sh runs this binary).
   par::ThreadPool pool(8);
   const std::size_t n = 2000;
   for (int round = 0; round < 5; ++round) {
     std::vector<std::atomic<int>> hits(n);
     std::atomic<std::uint64_t> sink{0};
-    pool.run_sharded(n, [&](std::size_t i) {
+    pool.run_indexed(n, [&](std::size_t i) {
       hits[i].fetch_add(1);
-      if (i < n / 8) {  // first shard: ~50x the work
+      if (i < n / 8) {  // first eighth: ~50x the work
         std::uint64_t acc = i;
         for (int k = 0; k < 5000; ++k) acc = acc * 6364136223846793005ULL + 1;
         sink.fetch_add(acc, std::memory_order_relaxed);
       }
     });
     for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+  }
+}
+
+TEST(RunSharded, CoversEveryIndexOnceForAnyPoolAndBatchSize) {
+  // run_sharded is an alias of run_indexed kept for perfbench/.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    par::ThreadPool pool(threads);
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{257}}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.run_sharded(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    }
   }
 }
 
@@ -340,6 +311,35 @@ TEST_F(PoolObservatory, PerTaskSpansLandInWorkerTraceLanes) {
   EXPECT_EQ(spans, 6u);
 }
 
+TEST_F(PoolObservatory, RouteBatchCountsOneTopLevelBatchAtEveryWidth) {
+  // jobs=1 takes the inline path and jobs=4 the pooled one; both must count
+  // the engine's batch once, and the nested inline_pool candidate batches
+  // (degree > table degree) not at all.
+  const lut::LookupTable table = lut::LookupTable::generate(4);
+  std::vector<geom::Net> nets;
+  util::Rng rng(3);
+  for (std::size_t d : {4u, 6u, 8u, 8u, 12u, 14u})
+    nets.push_back(netgen::clustered_net(rng, d));
+  auto counter = [](const char* name) {
+    const auto snap = obs::StatsRegistry::instance().snapshot();
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    engine::EngineOptions opt;
+    opt.table = &table;
+    opt.lambda = 7;
+    opt.jobs = jobs;
+    const engine::Engine eng(opt);
+    const std::uint64_t batches0 = counter("par.pool.batches");
+    const std::uint64_t tasks0 = counter("par.pool.tasks");
+    eng.route_batch(nets);
+    EXPECT_EQ(counter("par.pool.batches") - batches0, 1u) << "jobs " << jobs;
+    EXPECT_EQ(counter("par.pool.tasks") - tasks0, nets.size())
+        << "jobs " << jobs;
+  }
+}
+
 // ---- Determinism golden-compares across pool sizes ----
 
 TEST(Determinism, LutGenerationIsIdenticalForAnyPoolSize) {
@@ -372,9 +372,7 @@ TEST(Determinism, LutQueriesAgreeAcrossPoolSizes) {
   }
 }
 
-// Engine-based batch helper for the determinism goldens.  The engine's
-// route_batch runs on the sharded work-stealing scheduler, so these
-// goldens exercise stealing directly.
+// Engine-based batch helper for the determinism goldens.
 std::vector<core::PatLaborResult> route_with_jobs(
     const std::vector<geom::Net>& nets, const lut::LookupTable& table,
     std::size_t jobs) {
@@ -526,12 +524,7 @@ TEST(OrderedSink, ConsumerSeesIndexOrderUnderConcurrentPuts) {
       [&](std::size_t&& v) { seen.push_back(v); });
   par::ThreadPool pool(4);
   // Workers complete out of order; the consumer must still observe 0..n-1.
-  par::parallel_for(
-      kItems, /*grain=*/7,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) sink.put(i, i);
-      },
-      &pool);
+  pool.run_indexed(kItems, [&](std::size_t i) { sink.put(i, i); });
   ASSERT_EQ(seen.size(), kItems);
   for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(seen[i], i);
   EXPECT_EQ(sink.pending(), 0u);

@@ -14,7 +14,7 @@
 // The daemon accepts concurrent client connections (tools/patlabor_client,
 // serve::Client, or patlabor_cli route --remote), coalescing in-flight
 // requests from all clients into Engine::route_batch calls on the
-// work-stealing pool.  Responses are bit-identical to a direct embedded
+// engine's thread pool.  Responses are bit-identical to a direct embedded
 // Engine::route of the same request — same λ, cache on or off.
 //
 // --events streams one JSONL record per routed net, each stamped with the
