@@ -142,6 +142,27 @@ TEST(RunSharded, CoversEveryIndexOnceForAnyPoolAndBatchSize) {
   }
 }
 
+TEST(RunSharded, TransformMergesInIndexOrder) {
+  // perfbench/route.cpp fills one result slot per index through
+  // run_sharded; the merged output must read back in index order.
+  par::ThreadPool pool(4);
+  std::vector<std::size_t> out(1000);
+  pool.run_sharded(out.size(), [&](std::size_t i) { out[i] = i * i; });
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
+}
+
+TEST(RunSharded, LowestIndexExceptionWins) {
+  par::ThreadPool pool(4);
+  try {
+    pool.run_sharded(64, [](std::size_t i) {
+      if (i % 7 == 3) throw std::runtime_error("boom " + std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom 3");
+  }
+}
+
 TEST(WorkerContext, GetReturnsTheSameSlotPerTypeAndThread) {
   auto& ctx = par::WorkerContext::current();
   ctx.reset();
