@@ -11,10 +11,15 @@
 
 namespace patlabor::rsmt {
 
-/// Largest degree routed exactly (3^n DP is comfortable through 10 pins).
+/// Largest degree routed exactly.  The local search seeds every net up to
+/// this degree with exact_rsmt, so moving it changes frontiers.
 inline constexpr std::size_t kExactMaxDegree = 10;
 
-/// Exact RSMT by scalar Dreyfus-Wagner on the Hanan grid.
+/// Exact RSMT by scalar Dreyfus-Wagner on the Hanan grid (nv nodes):
+/// O(3^(n-1) * nv) merge plus O(2^(n-1) * nv) grow, the grow step being an
+/// L1 distance transform.  Equal-cost choices go to the first sub-partition
+/// in enumeration order and to the lowest predecessor node id, so the tree
+/// is a deterministic function of the net.
 /// Requires net.degree() <= kExactMaxDegree.
 tree::RoutingTree exact_rsmt(const geom::Net& net);
 

@@ -1,19 +1,26 @@
-// Allocation budget of the arena-backed table-generation DP: at one job,
+// Allocation budgets.  The arena-backed table-generation DP: at one job,
 // generating the degree-4..5 tables must stay at or below 600 heap
 // allocations per stored topology.  The pre-arena state storage ran at
 // ~2300-5800 allocations per topology, the arena-backed DP at ~40-150.
+// The exact RSMT seed: a degree-10 exact_rsmt call must stay at or below
+// 128 allocations.  Per-node DP rows cost ~800 per call, the flat tables
+// ~90.
 //
 // This binary replaces the global operator new with a counting forwarder.
 // The replacement is program-wide, so it lives in this one test binary.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "patlabor/lut/lut.hpp"
+#include "patlabor/netgen/netgen.hpp"
 #include "patlabor/par/pool.hpp"
+#include "patlabor/rsmt/rsmt.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -46,6 +53,21 @@ TEST(AllocBudget, TableGenerationStaysUnder600AllocsPerTopology) {
       static_cast<double>(allocs) / static_cast<double>(topologies);
   EXPECT_LE(per_topology, 600.0)
       << allocs << " allocations for " << topologies << " topologies";
+}
+
+TEST(AllocBudget, ExactRsmtDegree10StaysUnder128Allocs) {
+  util::Rng rng(19);
+  std::vector<geom::Net> nets;
+  for (int i = 0; i < 20; ++i) nets.push_back(netgen::clustered_net(rng, 10));
+  std::uint64_t worst = 0;
+  for (const geom::Net& net : nets) {
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const tree::RoutingTree t = rsmt::exact_rsmt(net);
+    worst = std::max(worst,
+                     g_allocs.load(std::memory_order_relaxed) - before);
+    ASSERT_GT(t.wirelength(), 0);
+  }
+  EXPECT_LE(worst, 128u) << "allocations in the worst degree-10 call";
 }
 
 }  // namespace

@@ -196,6 +196,20 @@ TEST_P(DwProperties, FrontierEndpointsAndTrees) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DwProperties, ::testing::Range(0, 25));
 
+TEST(ParetoDw, MinWirelengthMatchesExactRsmtAtDegrees9And10) {
+  // The Pareto-DW shares no grow or merge code with exact_rsmt, so its
+  // min-w endpoint independently checks the RSMT optimum at the two
+  // largest exact degrees, which the DwProperties sweep (3..8) leaves out.
+  util::Rng rng(710);
+  for (const std::size_t degree : {9, 9, 9, 10, 10}) {
+    const Net net = testing::random_net(rng, degree);
+    const auto r = dw::pareto_dw(net);
+    ASSERT_FALSE(r.frontier.empty());
+    EXPECT_EQ(r.frontier.front().w, rsmt::exact_rsmt(net).wirelength())
+        << "degree " << degree;
+  }
+}
+
 TEST(ParetoDw, HandlesDegenerateCoordinates) {
   // Shared x/y coordinates (zero-length Hanan gaps) and duplicate pins.
   Net net;

@@ -1,14 +1,123 @@
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "patlabor/rsmt/mst.hpp"
 #include "patlabor/geom/box.hpp"
+#include "patlabor/geom/hanan.hpp"
+#include "patlabor/netgen/netgen.hpp"
 #include "patlabor/rsmt/rsmt.hpp"
 #include "test_util.hpp"
 
 namespace patlabor {
 namespace {
 
+using geom::HananGrid;
+using geom::Length;
 using geom::Net;
+using geom::NodeId;
+using geom::Point;
+using tree::RoutingTree;
+
+// The straightforward Hanan-grid Dreyfus-Wagner that exact_rsmt must match
+// tree for tree: per-node tables and an all-pairs O(nv^2) grow step that
+// takes the lowest predecessor u with a strictly smaller cost.
+RoutingTree reference_exact_rsmt(const Net& net) {
+  constexpr Length kInf = std::numeric_limits<Length>::max() / 4;
+  struct Choice {
+    enum class Kind : std::uint8_t { kLeaf, kMerge, kGrow } kind = Kind::kLeaf;
+    std::uint32_t sub = 0;
+    NodeId from = -1;
+  };
+  const std::size_t n = net.degree();
+  const HananGrid grid(net.pins);
+  const int nv = grid.num_nodes();
+  const std::size_t nsinks = n - 1;
+  const std::uint32_t full = (1u << nsinks) - 1;
+
+  std::vector<std::vector<Length>> dp(
+      static_cast<std::size_t>(nv), std::vector<Length>(full + 1, kInf));
+  std::vector<std::vector<Choice>> how(
+      static_cast<std::size_t>(nv), std::vector<Choice>(full + 1));
+
+  std::vector<NodeId> sink_node(nsinks);
+  for (std::size_t i = 0; i < nsinks; ++i)
+    sink_node[i] = grid.node_at(net.pins[i + 1]);
+
+  for (std::uint32_t mask = 1; mask <= full; ++mask) {
+    for (int v = 0; v < nv; ++v) {
+      const auto uv = static_cast<std::size_t>(v);
+      if ((mask & (mask - 1)) == 0) {
+        const auto i = static_cast<std::size_t>(std::countr_zero(mask));
+        dp[uv][mask] = grid.dist(static_cast<NodeId>(v), sink_node[i]);
+        how[uv][mask] = Choice{Choice::Kind::kLeaf, 0, sink_node[i]};
+        continue;
+      }
+      const std::uint32_t low = mask & (~mask + 1);
+      for (std::uint32_t sub = (mask - 1) & mask; sub > 0;
+           sub = (sub - 1) & mask) {
+        if (!(sub & low)) continue;
+        const std::uint32_t rest = mask ^ sub;
+        if (rest == 0) continue;
+        const Length cost = dp[uv][sub] == kInf || dp[uv][rest] == kInf
+                                ? kInf
+                                : dp[uv][sub] + dp[uv][rest];
+        if (cost < dp[uv][mask]) {
+          dp[uv][mask] = cost;
+          how[uv][mask] = Choice{Choice::Kind::kMerge, sub, -1};
+        }
+      }
+    }
+    std::vector<Length> merged(static_cast<std::size_t>(nv));
+    for (int v = 0; v < nv; ++v)
+      merged[static_cast<std::size_t>(v)] =
+          dp[static_cast<std::size_t>(v)][mask];
+    for (int v = 0; v < nv; ++v) {
+      const auto uv = static_cast<std::size_t>(v);
+      for (int u = 0; u < nv; ++u) {
+        if (u == v || merged[static_cast<std::size_t>(u)] == kInf) continue;
+        const Length cost = merged[static_cast<std::size_t>(u)] +
+                            grid.dist(static_cast<NodeId>(u),
+                                      static_cast<NodeId>(v));
+        if (cost < dp[uv][mask]) {
+          dp[uv][mask] = cost;
+          how[uv][mask] =
+              Choice{Choice::Kind::kGrow, 0, static_cast<NodeId>(u)};
+        }
+      }
+    }
+  }
+
+  std::vector<std::pair<Point, Point>> edges;
+  const NodeId root = grid.node_at(net.pins[0]);
+  std::vector<std::pair<NodeId, std::uint32_t>> stack{{root, full}};
+  while (!stack.empty()) {
+    const auto [v, mask] = stack.back();
+    stack.pop_back();
+    const Choice c = how[static_cast<std::size_t>(v)][mask];
+    switch (c.kind) {
+      case Choice::Kind::kLeaf:
+        if (c.from != v) edges.emplace_back(grid.point(v), grid.point(c.from));
+        break;
+      case Choice::Kind::kMerge:
+        stack.emplace_back(v, c.sub);
+        stack.emplace_back(v, mask ^ c.sub);
+        break;
+      case Choice::Kind::kGrow:
+        edges.emplace_back(grid.point(v), grid.point(c.from));
+        stack.emplace_back(c.from, mask);
+        break;
+    }
+  }
+
+  RoutingTree t = RoutingTree::from_edges(net, edges);
+  t.normalize();
+  return t;
+}
 
 TEST(Mst, TwoPins) {
   Net net;
@@ -40,6 +149,33 @@ TEST(ExactRsmt, LShapeThreePins) {
   Net net;
   net.pins = {{0, 0}, {10, 0}, {10, 10}};
   EXPECT_EQ(rsmt::exact_rsmt(net).wirelength(), 20);
+}
+
+TEST(ExactRsmt, SameTreesAsReferenceDp) {
+  // Small windows force equal-cost alternatives (shared coordinates, and
+  // duplicate pins from random_net), so any change in tie-breaking shows
+  // up as a different tree.
+  util::Rng rng(34);
+  int nets = 0;
+  for (std::size_t degree = 2; degree <= rsmt::kExactMaxDegree; ++degree) {
+    std::vector<Net> batch;
+    for (int i = 0; i < 12; ++i) {
+      batch.push_back(netgen::clustered_net(rng, degree, 20));
+      batch.push_back(netgen::clustered_net(rng, degree, 100000));
+    }
+    for (int i = 0; i < 4; ++i)
+      batch.push_back(testing::random_net(rng, degree, 6, true));
+    for (const Net& net : batch) {
+      const RoutingTree t = rsmt::exact_rsmt(net);
+      const RoutingTree ref = reference_exact_rsmt(net);
+      ASSERT_TRUE(t.validate().empty()) << t.validate();
+      EXPECT_EQ(t.wirelength(), ref.wirelength()) << "degree " << degree;
+      EXPECT_EQ(t.structural_hash(), ref.structural_hash())
+          << "degree " << degree << ", net " << nets;
+      ++nets;
+    }
+  }
+  EXPECT_GE(nets, 200);
 }
 
 TEST(ExactRsmt, ThreePinsMedianSteiner) {
