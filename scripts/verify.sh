@@ -13,8 +13,10 @@
 # route, nonzero serve.* metrics, the stats wire frame, a SIGQUIT
 # flight-recorder dump, then a graceful SIGTERM drain), the obsdiff-over-daemon gate (daemon event
 # stream quality-identical to a direct engine run; a weaker-method
-# perturbation must trip it), an ASan+UBSan pass over the exact RSMT's
-# flat DP tables, the arena-backed DW solvers and the SolutionSet kernels,
+# perturbation must trip it), an ASan+UBSan pass over the tree kernels
+# (edge substitution's preorder intervals, the incremental reattach), the
+# exact RSMT's flat DP tables, the arena-backed DW solvers and the
+# SolutionSet kernels,
 # then a ThreadSanitizer pass over
 # the parallel execution layer (par/, including the shared-counter
 # scheduler and the pool timeline/TimedMutex instrumentation),
@@ -375,16 +377,18 @@ cmake --build build-noobs -j \
 )
 
 if [[ $run_asan -eq 1 ]]; then
-  echo "== ASan+UBSan: rsmt / dw / lut / pareto / serve tests =="
+  echo "== ASan+UBSan: tree / refine / rsmt / dw / lut / pareto / serve tests =="
   cmake -B build-asan -S . -G Ninja -DPATLABOR_ASAN=ON
   cmake --build build-asan -j \
-    --target test_rsmt test_dw test_lut test_lut_format test_pareto \
-    test_core test_serve
+    --target test_tree test_refine test_rsmt test_dw test_lut \
+    test_lut_format test_pareto test_core test_serve
   (
     cd build-asan
     export ASAN_OPTIONS="detect_leaks=1:halt_on_error=1"
     export UBSAN_OPTIONS="halt_on_error=1"
     ./tests/test_pareto
+    ./tests/test_tree
+    ./tests/test_refine
     ./tests/test_rsmt
     ./tests/test_dw
     ./tests/test_lut

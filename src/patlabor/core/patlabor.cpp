@@ -1,9 +1,10 @@
 #include "patlabor/core/patlabor.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <map>
 #include <optional>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -82,98 +83,114 @@ RoutingTree regenerate_subtopology(const RoutingTree& t,
   net.pins.assign(t.nodes().begin(),
                   t.nodes().begin() + static_cast<std::ptrdiff_t>(t.num_pins()));
 
-  // Connected components of the edge pool over interned points; the
-  // component containing the source is the core, every other component
-  // holding a pin is greedily re-attached at its nearest core point.
-  std::map<Point, std::size_t> id;
+  // Intern points in first-seen order — the net's pins, then edge
+  // endpoints in pool order — so ids, and with them every tie-break below,
+  // follow the pool.
+  std::unordered_map<Point, std::size_t, geom::PointHash> id;
+  id.reserve(net.pins.size() + 2 * edges.size());
   std::vector<Point> pts;
   auto intern = [&](const Point& p) {
-    auto [it2, inserted] = id.emplace(p, pts.size());
+    auto [it, inserted] = id.emplace(p, pts.size());
     if (inserted) pts.push_back(p);
-    return it2->second;
+    return it->second;
   };
-  for (const Point& p : net.pins) intern(p);
-  std::vector<std::size_t> parent_uf;
+  std::vector<std::size_t> pin_ids;
+  for (const Point& p : net.pins) pin_ids.push_back(intern(p));
+  std::vector<std::pair<std::size_t, std::size_t>> ends;
+  for (const auto& [a, b] : edges) {
+    const std::size_t ia = intern(a);
+    ends.emplace_back(ia, intern(b));
+  }
+  const std::size_t np = pts.size();
+
+  // Connected components of the edge pool; the component holding the
+  // source is the core, every other component holding a pin is an orphan
+  // fragment to re-attach.
+  std::vector<std::size_t> comp(np);
+  for (std::size_t i = 0; i < np; ++i) comp[i] = i;
   auto find = [&](std::size_t x) {
-    while (parent_uf[x] != x) x = parent_uf[x] = parent_uf[parent_uf[x]];
+    while (comp[x] != x) x = comp[x] = comp[comp[x]];
     return x;
   };
-  for (const auto& [a, b] : edges) {
-    intern(a);
-    intern(b);
+  for (const auto& [a, b] : ends) {
+    const std::size_t ra = find(a);
+    const std::size_t rb = find(b);
+    if (ra != rb) comp[ra] = rb;
   }
-  parent_uf.resize(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) parent_uf[i] = i;
-  for (const auto& [a, b] : edges) {
-    const std::size_t ra = find(id[a]);
-    const std::size_t rb = find(id[b]);
-    if (ra != rb) parent_uf[ra] = rb;
+  for (std::size_t i = 0; i < np; ++i) comp[i] = find(i);
+  std::vector<bool> has_pin(np, false);
+  for (std::size_t i : pin_ids) has_pin[comp[i]] = true;
+  const std::size_t core = comp[pin_ids[0]];
+  std::vector<std::vector<std::size_t>> members(np);  // ascending ids
+  for (std::size_t i = 0; i < np; ++i) members[comp[i]].push_back(i);
+
+  // Anchor prices: 0 for kNearest; for kDelayAware, the anchor's path
+  // length from the source.  The core's lengths come from one Dijkstra.
+  // An attached fragment hangs off the core by its single new edge
+  // (bo, bc), so no core length changes and the fragment's lengths are
+  // pl[bc] + l1(bc, bo) plus a Dijkstra inside the fragment seeded at bo.
+  const bool delay_aware = mode == ReattachMode::kDelayAware;
+  constexpr Length kUnreached = std::numeric_limits<Length>::max() / 4;
+  std::vector<Length> pl(np, delay_aware ? kUnreached : 0);
+  std::vector<std::vector<std::size_t>> adj(delay_aware ? np : 0);
+  if (delay_aware) {
+    for (const auto& [a, b] : ends) {
+      adj[a].push_back(b);
+      adj[b].push_back(a);
+    }
   }
-
-  // Pin-bearing components other than the core.
-  std::vector<bool> has_pin(pts.size(), false);
-  for (const Point& p : net.pins) has_pin[find(id[p])] = true;
-  const std::size_t core_root = find(id[net.pins[0]]);
-
-  std::vector<bool> in_core(pts.size(), false);
-  for (std::size_t i = 0; i < pts.size(); ++i)
-    in_core[i] = find(i) == core_root;
-
-  // Path lengths of core points from the source over the current edge
-  // pool (O(V^2) Dijkstra), used by the delay-aware anchor choice.
-  auto core_path_lengths = [&]() {
-    constexpr Length kUnreached = std::numeric_limits<Length>::max() / 4;
-    std::vector<Length> dist(pts.size(), kUnreached);
-    std::vector<std::vector<std::size_t>> adj(pts.size());
-    for (const auto& [a, b] : edges) {
-      adj[id[a]].push_back(id[b]);
-      adj[id[b]].push_back(id[a]);
-    }
-    std::vector<bool> done(pts.size(), false);
-    dist[id[net.pins[0]]] = 0;
-    for (std::size_t round = 0; round < pts.size(); ++round) {
-      std::size_t u = pts.size();
-      Length best = kUnreached;
-      for (std::size_t v = 0; v < pts.size(); ++v)
-        if (!done[v] && dist[v] < best) {
-          best = dist[v];
-          u = v;
-        }
-      if (u == pts.size()) break;
-      done[u] = true;
-      for (std::size_t v : adj[u])
-        dist[v] = std::min(dist[v], dist[u] + geom::l1(pts[u], pts[v]));
-    }
-    return dist;
-  };
-
-  while (true) {
-    // Best (orphan point, core anchor) pair among pin-bearing orphans:
-    // nearest pair, or — delay-aware — minimal anchor-path-plus-edge.
-    std::vector<Length> pl;
-    if (mode == ReattachMode::kDelayAware) pl = core_path_lengths();
-    Length best = std::numeric_limits<Length>::max();
-    std::size_t bo = 0, bc = 0;
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      if (in_core[i] || !has_pin[find(i)]) continue;
-      for (std::size_t j = 0; j < pts.size(); ++j) {
-        if (!in_core[j]) continue;
-        const Length d =
-            geom::l1(pts[i], pts[j]) +
-            (mode == ReattachMode::kDelayAware ? pl[j] : 0);
-        if (d < best) {
-          best = d;
-          bo = i;
-          bc = j;
+  std::vector<std::pair<Length, std::size_t>> heap;
+  auto settle_from = [&](std::size_t seed, Length d0) {
+    pl[seed] = d0;
+    heap.assign(1, {d0, seed});
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      const auto [d, u] = heap.back();
+      heap.pop_back();
+      if (d > pl[u]) continue;
+      for (std::size_t v : adj[u]) {
+        const Length nd = d + geom::l1(pts[u], pts[v]);
+        if (nd < pl[v]) {
+          pl[v] = nd;
+          heap.emplace_back(nd, v);
+          std::push_heap(heap.begin(), heap.end(), std::greater<>());
         }
       }
     }
-    if (best == std::numeric_limits<Length>::max()) break;
+  };
+  if (delay_aware) settle_from(pin_ids[0], 0);
+
+  // Greedy re-attachment: each round joins the orphan point / core anchor
+  // pair with the lexicographically least (price, orphan id, anchor id),
+  // where price = l1(orphan, anchor) + pl[anchor].  Anchor prices never
+  // change once a point is in the core, so every orphan point keeps its
+  // best (price, anchor) and only meets the points that joined last round.
+  std::vector<std::size_t> orphans;
+  for (std::size_t i = 0; i < np; ++i)
+    if (comp[i] != core && has_pin[comp[i]]) orphans.push_back(i);
+  std::vector<Length> price(np, std::numeric_limits<Length>::max());
+  std::vector<std::size_t> anchor(np, np);
+  auto offer = [&](const std::vector<std::size_t>& anchors) {
+    for (std::size_t i : orphans)
+      for (std::size_t j : anchors) {
+        const Length c = geom::l1(pts[i], pts[j]) + pl[j];
+        if (c < price[i] || (c == price[i] && j < anchor[i])) {
+          price[i] = c;
+          anchor[i] = j;
+        }
+      }
+  };
+  offer(members[core]);
+  while (!orphans.empty()) {
+    std::size_t bo = orphans[0];
+    for (std::size_t i : orphans)
+      if (price[i] < price[bo]) bo = i;
+    const std::size_t bc = anchor[bo];
     edges.emplace_back(pts[bo], pts[bc]);
-    const std::size_t orphan_root = find(bo);
-    parent_uf[orphan_root] = find(bc);
-    for (std::size_t i = 0; i < pts.size(); ++i)
-      if (find(i) == find(bc)) in_core[i] = true;
+    if (delay_aware) settle_from(bo, pl[bc] + geom::l1(pts[bc], pts[bo]));
+    const std::size_t joined = comp[bo];
+    std::erase_if(orphans, [&](std::size_t i) { return comp[i] == joined; });
+    offer(members[joined]);
   }
 
   RoutingTree result = RoutingTree::from_edges(net, edges);

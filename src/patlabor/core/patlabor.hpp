@@ -68,14 +68,17 @@ SmallFrontier exact_small_frontier(const geom::Net& net,
 
 /// Reattachment policy for fragments orphaned by the subtree surgery.
 enum class ReattachMode {
-  kNearest,     ///< wirelength-greedy: attach at the closest point
+  kNearest,     ///< wirelength-greedy: attach at the closest core point
   kDelayAware,  ///< delay-greedy: minimize path length through the anchor
 };
 
 /// The tree-surgery primitive of the local search (exposed for testing):
 /// removes the minimal subtree of `t` spanning the source and `pins`,
 /// replaces it with `subtopology` (a tree over those pins rooted at the
-/// source), and re-attaches every orphaned fragment per `mode`.
+/// source), and re-attaches every orphaned fragment per `mode`: one
+/// fragment a round, by one edge at the lowest (price, orphan point id,
+/// core anchor id), ids in first-seen order of the pins and the edge pool.
+/// O(V^2) over the V pooled points.
 tree::RoutingTree regenerate_subtopology(
     const tree::RoutingTree& t, const std::vector<std::size_t>& pins,
     const tree::RoutingTree& subtopology,

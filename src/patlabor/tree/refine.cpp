@@ -25,30 +25,24 @@ struct DelayOracle {
   std::vector<Length> in;    // max pl over sink pins inside subtree(v)
   std::vector<Length> out;   // max pl over sink pins outside subtree(v)
 
+  SubtreeIntervals sub;      // preorder intervals: O(1) subtree test
+
   void build(const RoutingTree& t) {
     pl = t.path_lengths();
     const std::size_t n = t.num_nodes();
     in.assign(n, kNegInf);
     out.assign(n, kNegInf);
     const auto ch = t.children();
+    sub.build(t, ch);
     // in[] by reverse topological order: process children before parents.
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    std::vector<std::size_t> stack{0};
-    while (!stack.empty()) {
-      const std::size_t u = stack.back();
-      stack.pop_back();
-      order.push_back(u);
-      for (std::int32_t c : ch[u]) stack.push_back(static_cast<std::size_t>(c));
-    }
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    for (auto it = sub.order.rbegin(); it != sub.order.rend(); ++it) {
       const std::size_t u = *it;
       if (u >= 1 && t.is_pin(u)) in[u] = pl[u];
       for (std::int32_t c : ch[u])
         in[u] = std::max(in[u], in[static_cast<std::size_t>(c)]);
     }
     // out[] top-down.
-    for (std::size_t u : order) {
+    for (std::size_t u : sub.order) {
       const Length self = (u >= 1 && t.is_pin(u)) ? pl[u] : kNegInf;
       // Prefix/suffix maxima over children to exclude one child at a time.
       const auto& cs = ch[u];
@@ -75,6 +69,38 @@ struct DelayOracle {
 };
 
 }  // namespace
+
+void SubtreeIntervals::build(
+    const RoutingTree& t,
+    const std::vector<std::vector<std::int32_t>>& children) {
+  const std::size_t n = t.num_nodes();
+  order.clear();
+  order.reserve(n);
+  pre.assign(n, 0);
+  size.assign(n, 0);
+  // Stack DFS from every parentless node in index order (node 0 first):
+  // a node's whole subtree is popped before anything below it on the
+  // stack, so every subtree is one contiguous run of `order`.
+  std::vector<std::size_t> stack;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (t.parent(r) != kNoParent) continue;
+    stack.push_back(r);
+    while (!stack.empty()) {
+      const std::size_t u = stack.back();
+      stack.pop_back();
+      pre[u] = order.size();
+      order.push_back(u);
+      for (std::int32_t c : children[u])
+        stack.push_back(static_cast<std::size_t>(c));
+    }
+  }
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const std::size_t u = *it;
+    ++size[u];
+    if (t.parent(u) != kNoParent)
+      size[static_cast<std::size_t>(t.parent(u))] += size[u];
+  }
+}
 
 Length steinerize(RoutingTree& t) {
   Length saved = 0;
@@ -163,9 +189,10 @@ bool edge_substitution_pass(RoutingTree& t, RefineMode mode) {
 
     // Candidate 1: re-parent to any node outside subtree(v).
     for (std::size_t u = 0; u < t.num_nodes(); ++u) {
-      if (u == old_parent || t.in_subtree(u, v)) continue;
+      if (u == old_parent || oracle.sub.contains(v, u)) continue;
       ++evaluated;
       const Length len = geom::l1(t.node(v), t.node(u));
+      if (len > old_len) continue;  // w > w0: no mode accepts it
       const Length w = w0 - old_len + len;
       const Length delta = (oracle.pl[u] + len) - oracle.pl[v];
       const Length d = oracle.delay_after_shift(v, delta);
@@ -184,7 +211,8 @@ bool edge_substitution_pass(RoutingTree& t, RefineMode mode) {
     for (std::size_t c = 1; c < t.num_nodes(); ++c) {
       if (c == v) continue;
       const auto p = static_cast<std::size_t>(t.parent(c));
-      if (t.in_subtree(c, v) || t.in_subtree(p, v)) continue;
+      // p inside subtree(v) puts its child c there too, so c alone decides.
+      if (oracle.sub.contains(v, c)) continue;
       geom::BBox bb;
       bb.expand(t.node(c));
       bb.expand(t.node(p));
@@ -192,6 +220,7 @@ bool edge_substitution_pass(RoutingTree& t, RefineMode mode) {
       if (q == t.node(c) || q == t.node(p)) continue;  // covered by case 1
       ++evaluated;
       const Length len = geom::l1(t.node(v), q);
+      if (len > old_len) continue;  // w > w0: no mode accepts it
       const Length w = w0 - old_len + len;
       const Length pl_q = oracle.pl[p] + geom::l1(t.node(p), q);
       const Length delta = (pl_q + len) - oracle.pl[v];

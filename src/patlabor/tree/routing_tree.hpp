@@ -33,9 +33,10 @@ class RoutingTree {
   static RoutingTree star(const Net& net);
 
   /// Builds a tree from an undirected edge list over points.  The edge set
-  /// must connect all pins; orientation (parent pointers) is derived by a
-  /// BFS from the source.  Points not equal to any pin become Steiner nodes.
-  /// Degree-2 pass-through Steiner nodes are preserved as given.
+  /// must connect all pins; orientation (parent pointers) is the
+  /// shortest-path tree from the source by an O(V^2) Dijkstra over L1 edge
+  /// lengths.  Points not equal to any pin become Steiner nodes.  Degree-2
+  /// pass-through Steiner nodes are preserved as given.
   static RoutingTree from_edges(const Net& net,
                                 std::span<const std::pair<Point, Point>> edges);
 

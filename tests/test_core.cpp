@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+
 #include "patlabor/core/pareto_ks.hpp"
 #include "patlabor/core/patlabor.hpp"
 #include "patlabor/core/trainer.hpp"
 #include "patlabor/dw/pareto_dw.hpp"
+#include "patlabor/lut/lut.hpp"
+#include "patlabor/netgen/netgen.hpp"
 #include "patlabor/rsma/rsma.hpp"
 #include "patlabor/rsmt/rsmt.hpp"
+#include "patlabor/tree/refine.hpp"
 #include "test_util.hpp"
 
 namespace patlabor {
@@ -72,6 +78,187 @@ TEST(Policy, CurriculumBucketsResolveByDegree) {
 }
 
 // ---- Tree surgery ----
+
+// The pre-incremental reattach, kept verbatim as the differential oracle
+// for core::regenerate_subtopology: a std::map point index, a full O(V^2)
+// Dijkstra over the whole edge pool and a row-major (orphan, core) scan on
+// every round.
+tree::RoutingTree reference_regenerate_subtopology(
+    const tree::RoutingTree& t, const std::vector<std::size_t>& pins,
+    const tree::RoutingTree& subtopology, core::ReattachMode mode) {
+  using geom::Length;
+  using geom::Point;
+  // A = {source} ∪ selected pins.
+  std::vector<bool> in_a(t.num_nodes(), false);
+  in_a[0] = true;
+  for (std::size_t p : pins) in_a[p] = true;
+
+  const auto ch = t.children();
+  std::vector<int> cnt(t.num_nodes(), 0);
+  std::vector<std::size_t> order;
+  order.reserve(t.num_nodes());
+  std::vector<std::size_t> stack{0};
+  while (!stack.empty()) {
+    const std::size_t u = stack.back();
+    stack.pop_back();
+    order.push_back(u);
+    for (std::int32_t c : ch[u]) stack.push_back(static_cast<std::size_t>(c));
+  }
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const std::size_t u = *it;
+    if (in_a[u]) ++cnt[u];
+    for (std::int32_t c : ch[u]) cnt[u] += cnt[static_cast<std::size_t>(c)];
+  }
+
+  std::vector<std::pair<Point, Point>> edges;
+  for (std::size_t v = 1; v < t.num_nodes(); ++v)
+    if (cnt[v] == 0)
+      edges.emplace_back(t.node(v),
+                         t.node(static_cast<std::size_t>(t.parent(v))));
+  for (std::size_t w = 1; w < subtopology.num_nodes(); ++w)
+    edges.emplace_back(
+        subtopology.node(w),
+        subtopology.node(static_cast<std::size_t>(subtopology.parent(w))));
+
+  Net net;
+  net.pins.assign(t.nodes().begin(),
+                  t.nodes().begin() + static_cast<std::ptrdiff_t>(t.num_pins()));
+
+  std::map<Point, std::size_t> id;
+  std::vector<Point> pts;
+  auto intern = [&](const Point& p) {
+    auto [it2, inserted] = id.emplace(p, pts.size());
+    if (inserted) pts.push_back(p);
+    return it2->second;
+  };
+  for (const Point& p : net.pins) intern(p);
+  std::vector<std::size_t> parent_uf;
+  auto find = [&](std::size_t x) {
+    while (parent_uf[x] != x) x = parent_uf[x] = parent_uf[parent_uf[x]];
+    return x;
+  };
+  for (const auto& [a, b] : edges) {
+    intern(a);
+    intern(b);
+  }
+  parent_uf.resize(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) parent_uf[i] = i;
+  for (const auto& [a, b] : edges) {
+    const std::size_t ra = find(id[a]);
+    const std::size_t rb = find(id[b]);
+    if (ra != rb) parent_uf[ra] = rb;
+  }
+
+  std::vector<bool> has_pin(pts.size(), false);
+  for (const Point& p : net.pins) has_pin[find(id[p])] = true;
+  const std::size_t core_root = find(id[net.pins[0]]);
+
+  std::vector<bool> in_core(pts.size(), false);
+  for (std::size_t i = 0; i < pts.size(); ++i)
+    in_core[i] = find(i) == core_root;
+
+  auto core_path_lengths = [&]() {
+    constexpr Length kUnreached = std::numeric_limits<Length>::max() / 4;
+    std::vector<Length> dist(pts.size(), kUnreached);
+    std::vector<std::vector<std::size_t>> adj(pts.size());
+    for (const auto& [a, b] : edges) {
+      adj[id[a]].push_back(id[b]);
+      adj[id[b]].push_back(id[a]);
+    }
+    std::vector<bool> done(pts.size(), false);
+    dist[id[net.pins[0]]] = 0;
+    for (std::size_t round = 0; round < pts.size(); ++round) {
+      std::size_t u = pts.size();
+      Length best = kUnreached;
+      for (std::size_t v = 0; v < pts.size(); ++v)
+        if (!done[v] && dist[v] < best) {
+          best = dist[v];
+          u = v;
+        }
+      if (u == pts.size()) break;
+      done[u] = true;
+      for (std::size_t v : adj[u])
+        dist[v] = std::min(dist[v], dist[u] + geom::l1(pts[u], pts[v]));
+    }
+    return dist;
+  };
+
+  while (true) {
+    std::vector<Length> pl;
+    if (mode == core::ReattachMode::kDelayAware) pl = core_path_lengths();
+    Length best = std::numeric_limits<Length>::max();
+    std::size_t bo = 0, bc = 0;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      if (in_core[i] || !has_pin[find(i)]) continue;
+      for (std::size_t j = 0; j < pts.size(); ++j) {
+        if (!in_core[j]) continue;
+        const Length d =
+            geom::l1(pts[i], pts[j]) +
+            (mode == core::ReattachMode::kDelayAware ? pl[j] : 0);
+        if (d < best) {
+          best = d;
+          bo = i;
+          bc = j;
+        }
+      }
+    }
+    if (best == std::numeric_limits<Length>::max()) break;
+    edges.emplace_back(pts[bo], pts[bc]);
+    const std::size_t orphan_root = find(bo);
+    parent_uf[orphan_root] = find(bc);
+    for (std::size_t i = 0; i < pts.size(); ++i)
+      if (find(i) == find(bc)) in_core[i] = true;
+  }
+
+  tree::RoutingTree result = tree::RoutingTree::from_edges(net, edges);
+  result.normalize();
+  return result;
+}
+
+TEST(RegenerateSubtopology, SameTreesAsReferenceReattach) {
+  // Local-search-shaped inputs: RSMT seeds and their refined variants on
+  // clustered nets (tight windows force coordinate ties), policy-selected
+  // pins, and every sub-topology of the exact frontier from both the table
+  // (4-pin subnets) and numeric DW (6-pin subnets), in both modes.
+  const lut::LookupTable table = lut::LookupTable::generate(4);
+  util::Rng rng(120);
+  core::Policy policy;
+  int cases = 0;
+  for (int it = 0; it < 60; ++it) {
+    const std::size_t degree = 12 + rng.index(53);  // 12..64
+    const geom::Coord window = it % 2 == 0 ? 20 : 100000;
+    const Net net = netgen::clustered_net(rng, degree, window);
+    std::vector<tree::RoutingTree> trees{rsmt::rsmt(net)};
+    for (auto& v : tree::refined_variants(trees[0]))
+      trees.push_back(std::move(v));
+    for (std::size_t k = 0; k < trees.size(); ++k) {
+      const tree::RoutingTree& t = trees[k];
+      const bool use_table = k % 2 == 0;
+      const auto pins = policy.select_pins(t, use_table ? 3 : 5);
+      Net subnet;
+      subnet.pins.push_back(net.source());
+      for (std::size_t p : pins) subnet.pins.push_back(t.node(p));
+      const auto sub =
+          core::exact_small_frontier(subnet, use_table ? &table : nullptr);
+      ASSERT_FALSE(sub.trees.empty());
+      for (const auto& s : sub.trees) {
+        for (const core::ReattachMode mode :
+             {core::ReattachMode::kNearest, core::ReattachMode::kDelayAware}) {
+          const auto got = core::regenerate_subtopology(t, pins, s, mode);
+          const auto want = reference_regenerate_subtopology(t, pins, s, mode);
+          ASSERT_EQ(got.nodes(), want.nodes())
+              << "net " << it << " tree " << k << " mode "
+              << static_cast<int>(mode);
+          ASSERT_EQ(got.parents(), want.parents())
+              << "net " << it << " tree " << k << " mode "
+              << static_cast<int>(mode);
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GE(cases, 300);
+}
 
 TEST(RegenerateSubtopology, PreservesAllPins) {
   util::Rng rng(103);

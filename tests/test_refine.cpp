@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
+#include "patlabor/geom/box.hpp"
+#include "patlabor/rsma/rsma.hpp"
 #include "patlabor/rsmt/mst.hpp"
+#include "patlabor/rsmt/rsmt.hpp"
 #include "patlabor/tree/refine.hpp"
 #include "test_util.hpp"
 
@@ -11,6 +17,129 @@ using geom::Net;
 using geom::Point;
 using tree::RefineMode;
 using tree::RoutingTree;
+using geom::Length;
+
+// The parent-walk edge substitution, kept as the differential oracle for
+// tree::edge_substitution_pass: the same candidates and delay bookkeeping,
+// with every subtree test a RoutingTree::in_subtree walk.
+bool reference_edge_substitution_pass(RoutingTree& t, RefineMode mode) {
+  constexpr Length kNegInf = std::numeric_limits<Length>::min() / 4;
+  const std::size_t n = t.num_nodes();
+  const std::vector<Length> pl = t.path_lengths();
+  std::vector<Length> in(n, kNegInf), out(n, kNegInf);
+  const auto ch = t.children();
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> stack{0};
+  while (!stack.empty()) {
+    const std::size_t u = stack.back();
+    stack.pop_back();
+    order.push_back(u);
+    for (std::int32_t c : ch[u]) stack.push_back(static_cast<std::size_t>(c));
+  }
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const std::size_t u = *it;
+    if (u >= 1 && t.is_pin(u)) in[u] = pl[u];
+    for (std::int32_t c : ch[u])
+      in[u] = std::max(in[u], in[static_cast<std::size_t>(c)]);
+  }
+  for (std::size_t u : order) {
+    const Length self = (u >= 1 && t.is_pin(u)) ? pl[u] : kNegInf;
+    const auto& cs = ch[u];
+    for (std::size_t i = 0; i < cs.size(); ++i) {
+      Length others = kNegInf;
+      for (std::size_t k = 0; k < cs.size(); ++k)
+        if (k != i) others = std::max(others, in[static_cast<std::size_t>(cs[k])]);
+      out[static_cast<std::size_t>(cs[i])] = std::max({out[u], self, others});
+    }
+  }
+  auto delay_after_shift = [&](std::size_t v, Length delta) {
+    const Length inside = in[v] == kNegInf ? kNegInf : in[v] + delta;
+    return std::max<Length>(std::max(inside, out[v]), 0);
+  };
+
+  const Length w0 = t.wirelength();
+  const Length d0 = t.delay();
+  auto accept = [&](Length w, Length d) {
+    switch (mode) {
+      case RefineMode::kWirelength:
+        return w < w0 && d <= d0;
+      case RefineMode::kDelay:
+        return d < d0 && w <= w0;
+      case RefineMode::kEither:
+        return (w < w0 && d <= d0) || (d < d0 && w <= w0);
+    }
+    return false;
+  };
+  bool have = false;
+  Length best_gain = 0;
+  std::size_t bv = 0, bc = 0, bu = 0;
+  bool via_edge = false;
+  Point bq{};
+  auto offer = [&](Length w, Length d, std::size_t v, bool edge,
+                   std::size_t target, Point q) {
+    if (!accept(w, d)) return;
+    const Length gain = (w0 - w) + (d0 - d);
+    if (have && gain <= best_gain) return;
+    have = true;
+    best_gain = gain;
+    bv = v;
+    via_edge = edge;
+    (edge ? bc : bu) = target;
+    bq = q;
+  };
+  for (std::size_t v = 1; v < n; ++v) {
+    const auto old_parent = static_cast<std::size_t>(t.parent(v));
+    const Length old_len = geom::l1(t.node(v), t.node(old_parent));
+    for (std::size_t u = 0; u < n; ++u) {
+      if (u == old_parent || t.in_subtree(u, v)) continue;
+      const Length len = geom::l1(t.node(v), t.node(u));
+      offer(w0 - old_len + len,
+            delay_after_shift(v, pl[u] + len - pl[v]), v, false, u, {});
+    }
+    for (std::size_t c = 1; c < n; ++c) {
+      if (c == v) continue;
+      const auto p = static_cast<std::size_t>(t.parent(c));
+      if (t.in_subtree(c, v) || t.in_subtree(p, v)) continue;
+      geom::BBox bb;
+      bb.expand(t.node(c));
+      bb.expand(t.node(p));
+      const Point q = bb.project(t.node(v));
+      if (q == t.node(c) || q == t.node(p)) continue;
+      const Length len = geom::l1(t.node(v), q);
+      const Length pl_q = pl[p] + geom::l1(t.node(p), q);
+      offer(w0 - old_len + len, delay_after_shift(v, pl_q + len - pl[v]), v,
+            true, c, q);
+    }
+  }
+  if (!have) return false;
+  if (via_edge) {
+    const auto q = t.add_steiner(bq, t.parent(bc));
+    t.set_parent(bc, static_cast<std::int32_t>(q));
+    t.set_parent(bv, static_cast<std::int32_t>(q));
+  } else {
+    t.set_parent(bv, static_cast<std::int32_t>(bu));
+  }
+  return true;
+}
+
+// Random Steiner insertions and re-parentings that keep a tree valid, so
+// the differential test also sees unnormalized, oddly shaped trees.
+void scramble(RoutingTree& t, util::Rng& rng, int moves) {
+  for (int m = 0; m < moves; ++m) {
+    const std::size_t n = t.num_nodes();
+    if (rng.index(2) == 0) {
+      const Point a = t.node(rng.index(n));
+      const Point b = t.node(rng.index(n));
+      const Point s{std::min(a.x, b.x), std::max(a.y, b.y)};
+      t.add_steiner(s, static_cast<std::int32_t>(rng.index(n)));
+    } else {
+      const std::size_t v = 1 + rng.index(n - 1);
+      const std::size_t u = rng.index(n);
+      if (!t.in_subtree(u, v))
+        t.set_parent(v, static_cast<std::int32_t>(u));
+    }
+  }
+}
 
 TEST(Steinerize, MergesSharedLPrefix) {
   // Source at origin, two sinks sharing a long common trunk: the star costs
@@ -86,6 +215,73 @@ TEST(EdgeSubstitution, RespectsModeConstraints) {
       }
     }
   }
+}
+
+TEST(SubtreeIntervals, MatchParentWalkOnEveryPair) {
+  auto check = [](const RoutingTree& t) {
+    tree::SubtreeIntervals sub;
+    sub.build(t, t.children());
+    ASSERT_EQ(sub.order.size(), t.num_nodes());
+    for (std::size_t v = 0; v < t.num_nodes(); ++v)
+      for (std::size_t x = 0; x < t.num_nodes(); ++x)
+        ASSERT_EQ(sub.contains(v, x), t.in_subtree(x, v))
+            << "v " << v << " x " << x;
+  };
+  util::Rng rng(25);
+  for (int it = 0; it < 20; ++it) {
+    RoutingTree t = rsmt::rsmt(testing::random_net(rng, 6 + rng.index(20)));
+    scramble(t, rng, 10);
+    ASSERT_TRUE(t.validate().empty()) << t.validate();
+    check(t);
+  }
+  // A forest: node 3 loses its parent and roots a second tree {3, 4, 5}.
+  Net net;
+  net.pins = {{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}};
+  RoutingTree f = RoutingTree::star(net);
+  f.set_parent(2, 1);
+  f.set_parent(3, tree::kNoParent);
+  f.set_parent(4, 3);
+  f.set_parent(5, 4);
+  f.add_steiner({6, 0}, 3);
+  check(f);
+  tree::SubtreeIntervals sub;
+  sub.build(f, f.children());
+  EXPECT_TRUE(sub.contains(3, 5));
+  EXPECT_FALSE(sub.contains(0, 5));
+  EXPECT_FALSE(sub.contains(3, 2));
+}
+
+TEST(EdgeSubstitution, SameMovesAsParentWalkReference) {
+  util::Rng rng(26);
+  int trees = 0;
+  int passes = 0;
+  for (int it = 0; it < 56; ++it) {
+    const std::size_t degree = 3 + rng.index(28);  // 3..30
+    const Net net = testing::random_net(rng, degree, it % 2 == 0 ? 1000 : 12,
+                                        /*allow_ties=*/it % 2 != 0);
+    std::vector<RoutingTree> inputs{RoutingTree::star(net), rsmt::rsmt(net),
+                                    rsma::rsma(net), rsmt::rsmt(net)};
+    scramble(inputs.back(), rng, 12);
+    for (const RoutingTree& t0 : inputs) {
+      ASSERT_TRUE(t0.validate().empty()) << t0.validate();
+      ++trees;
+      for (const RefineMode mode :
+           {RefineMode::kWirelength, RefineMode::kDelay, RefineMode::kEither}) {
+        RoutingTree got = t0;
+        RoutingTree want = t0;
+        for (int pass = 0; pass < 12; ++pass) {
+          const bool moved = tree::edge_substitution_pass(got, mode);
+          ASSERT_EQ(moved, reference_edge_substitution_pass(want, mode));
+          ASSERT_EQ(got.nodes(), want.nodes()) << "net " << it;
+          ASSERT_EQ(got.parents(), want.parents()) << "net " << it;
+          ++passes;
+          if (!moved) break;
+        }
+      }
+    }
+  }
+  EXPECT_GE(trees, 200);
+  EXPECT_GT(passes, 3 * trees);
 }
 
 TEST(Refine, PipelinePreservesValidityAndImproves) {
