@@ -9,6 +9,19 @@
 //     grow:   S_{u,Q} + ||u - v||_1   (both objectives shift)
 // with Pareto filtering after every step.  The answer is S_{r, sinks}.
 //
+// Neither step enumerates its candidates.  Merge walks each partition's
+// two staircases with two pointers (advance the side with the larger delay)
+// and folds the resulting staircase into the state's running one.  Grow is
+// a Pareto L1 distance transform: running staircases are swept along each
+// Hanan row, then along each column, inside the box of the nodes that hold
+// a merge set, shifting by every gap.  A node outside that box takes the
+// closure at its clamp into the box, shifted by the distance to it.
+//
+// Results match a lowest-index Pareto filter over Eq. (1)'s candidates in
+// enumeration order, trees included.  Among equal objectives the earlier
+// merge partition wins, and in grow the own entry wins, then the lowest
+// origin node, then the lowest index.
+//
 // Pruning implements the paper's Lemma 2 (corner nodes can never host
 // useful Steiner/merge points) and Lemma 3 (merge states are only needed
 // inside the bounding box of their sink subset; outside nodes are reached
@@ -27,8 +40,8 @@
 namespace patlabor::dw {
 
 /// Reusable cross-solve state storage for pareto_dw: the DP state table,
-/// both entry arenas, candidate scratch rows, and the Pareto filter
-/// scratch, kept at grown capacity between solves.  Opaque on purpose (the
+/// both entry arenas, the merge staircases and the grow sweep rows, kept
+/// at grown capacity between solves.  Opaque on purpose (the
 /// entry types are solver-internal).  Typical use is one instance per
 /// worker thread — e.g. par::WorkerContext::current().get<dw::DwScratch>()
 /// — handed to every pareto_dw call on that thread, which removes the

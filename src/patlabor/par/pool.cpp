@@ -10,6 +10,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "patlabor/obs/obs.hpp"
 #include "patlabor/obs/timed_mutex.hpp"
@@ -238,7 +239,11 @@ void ThreadPool::run_indexed(std::size_t n,
       return batch->done.load(std::memory_order_acquire) == batch->n;
     });
   }
-  if (batch->err) std::rethrow_exception(batch->err);
+  // Take the exception out of the batch before rethrowing: a worker may
+  // still hold the batch, and its release must not be the one that frees
+  // the exception object the caller is reading.
+  if (std::exception_ptr err = std::move(batch->err))
+    std::rethrow_exception(err);
 }
 
 void ThreadPool::run_sharded(std::size_t n,

@@ -5,6 +5,10 @@
 // The exact RSMT seed: a degree-10 exact_rsmt call must stay at or below
 // 128 allocations.  Per-node DP rows cost ~800 per call, the flat tables
 // ~90.
+// Pareto-DW with a reused DwScratch: after a warm-up pass, a frontier-only
+// solve at degrees 7 and 9 must stay at or below 16 allocations.  It makes
+// 7 (the Hanan grid, the pruning mask, the frontier); the bound keeps the
+// per-mask merge and sweep rows from allocating in the hot loop.
 //
 // This binary replaces the global operator new with a counting forwarder.
 // The replacement is program-wide, so it lives in this one test binary.
@@ -17,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "patlabor/dw/pareto_dw.hpp"
 #include "patlabor/lut/lut.hpp"
 #include "patlabor/netgen/netgen.hpp"
 #include "patlabor/par/pool.hpp"
@@ -68,6 +73,26 @@ TEST(AllocBudget, ExactRsmtDegree10StaysUnder128Allocs) {
     ASSERT_GT(t.wirelength(), 0);
   }
   EXPECT_LE(worst, 128u) << "allocations in the worst degree-10 call";
+}
+
+TEST(AllocBudget, ParetoDwReusedScratch) {
+  util::Rng rng(23);
+  std::vector<geom::Net> nets;
+  for (int i = 0; i < 12; ++i) nets.push_back(netgen::clustered_net(rng, 7));
+  for (int i = 0; i < 4; ++i) nets.push_back(netgen::clustered_net(rng, 9));
+  dw::DwScratch scratch;
+  dw::ParetoDwOptions options;
+  options.want_trees = false;
+  for (const geom::Net& net : nets) dw::pareto_dw(net, options, &scratch);
+  std::uint64_t worst = 0;
+  for (const geom::Net& net : nets) {
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const dw::ParetoDwResult r = dw::pareto_dw(net, options, &scratch);
+    worst = std::max(worst,
+                     g_allocs.load(std::memory_order_relaxed) - before);
+    ASSERT_FALSE(r.frontier.empty());
+  }
+  EXPECT_LE(worst, 16u) << "allocations in the worst reused-scratch solve";
 }
 
 }  // namespace

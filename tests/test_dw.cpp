@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "patlabor/dw/pareto_dw.hpp"
+#include "patlabor/geom/box.hpp"
 #include "patlabor/geom/hanan.hpp"
+#include "patlabor/netgen/netgen.hpp"
+#include "patlabor/obs/obs.hpp"
 #include "patlabor/rsma/rsma.hpp"
 #include "patlabor/rsmt/rsmt.hpp"
+#include "patlabor/util/arena.hpp"
 #include "test_util.hpp"
 
 namespace patlabor {
@@ -97,6 +105,212 @@ ObjVec brute_force_frontier(const Net& net) {
   };
   recurse(recurse, 0);
   return pareto::pareto_filter(std::move(all));
+}
+
+// ---------------------------------------------------------------------------
+// Reference Pareto-DW: Eq. (1) by enumeration.  Every merge pair and every
+// grow pair (v, u) becomes a candidate, and one lowest-index Pareto filter
+// per state keeps the survivors.  The solver's sum–max staircase walk and
+// L1-transform grow must reproduce these frontiers, trees and counters.
+// ---------------------------------------------------------------------------
+struct ReferenceDw {
+  dw::ParetoDwResult result;
+  std::uint64_t merge_candidates = 0;
+  std::uint64_t grow_candidates = 0;
+  std::uint64_t points_filtered = 0;
+};
+
+class ReferenceSolver {
+ public:
+  ReferenceSolver(const Net& net, const dw::ParetoDwOptions& options)
+      : net_(net), options_(options), grid_(net.pins) {}
+
+  ReferenceDw run() {
+    const std::size_t nsinks = net_.degree() - 1;
+    full_ = (1u << nsinks) - 1;
+    std::vector<bool> prunable(static_cast<std::size_t>(grid_.num_nodes()),
+                               false);
+    if (options_.corner_pruning) prunable = grid_.corner_prunable(net_.pins);
+    for (geom::NodeId v = 0; v < grid_.num_nodes(); ++v)
+      if (!prunable[static_cast<std::size_t>(v)]) active_.push_back(v);
+    for (std::size_t i = 0; i < nsinks; ++i)
+      sink_node_.push_back(grid_.node_at(net_.pins[i + 1]));
+    states_.assign(static_cast<std::size_t>(grid_.num_nodes()) * (full_ + 1),
+                   State{});
+    for (std::uint32_t mask = 1; mask <= full_; ++mask) solve_mask(mask);
+
+    const geom::NodeId root = grid_.node_at(net_.pins[0]);
+    const auto answer = final_arena_.view(state(root, full_).final_);
+    ReferenceDw out;
+    out.result.solutions_created = created_;
+    ObjVec frontier;
+    for (const FinalEntry& e : answer) frontier.push_back(e.obj);
+    out.result.frontier =
+        pareto::SolutionSet::adopt_staircase(std::move(frontier));
+    if (options_.want_trees) {
+      for (std::size_t i = 0; i < answer.size(); ++i) {
+        std::vector<std::pair<Point, Point>> edges;
+        reconstruct_final(root, full_, static_cast<std::int32_t>(i), edges);
+        tree::RoutingTree t = tree::RoutingTree::from_edges(net_, edges);
+        t.normalize();
+        out.result.trees.push_back(std::move(t));
+      }
+    }
+    out.merge_candidates = merge_cands_;
+    out.grow_candidates = grow_cands_;
+    out.points_filtered = merge_cands_ + grow_cands_ - kept_;
+    return out;
+  }
+
+ private:
+  struct BaseEntry {
+    Objective obj;
+    std::uint32_t sub = 0;
+    std::int32_t ia = -1;
+    std::int32_t ib = -1;
+  };
+  struct FinalEntry {
+    Objective obj;
+    geom::NodeId from = -1;
+    std::int32_t idx = -1;
+  };
+  struct State {
+    util::ArenaSpan base;
+    util::ArenaSpan final_;
+  };
+
+  State& state(geom::NodeId v, std::uint32_t mask) {
+    return states_[static_cast<std::size_t>(v) * (full_ + 1) + mask];
+  }
+  const State& state(geom::NodeId v, std::uint32_t mask) const {
+    return states_[static_cast<std::size_t>(v) * (full_ + 1) + mask];
+  }
+
+  void solve_mask(std::uint32_t mask) {
+    const std::size_t nsinks = net_.degree() - 1;
+    geom::BBox bb;
+    for (std::size_t i = 0; i < nsinks; ++i)
+      if (mask & (1u << i)) bb.expand(net_.pins[i + 1]);
+
+    for (geom::NodeId v : active_) {
+      if (options_.bbox_restriction && !bb.contains(grid_.point(v))) continue;
+      State& st = state(v, mask);
+      if ((mask & (mask - 1)) == 0) {
+        const std::size_t i = static_cast<std::size_t>(std::countr_zero(mask));
+        const geom::Length len = grid_.dist(v, sink_node_[i]);
+        const std::uint32_t m = base_arena_.mark();
+        base_arena_.push_back(BaseEntry{Objective{len, len}, 0, -1, -1});
+        st.base = base_arena_.since(m);
+        ++created_;
+        continue;
+      }
+      base_scratch_.clear();
+      const std::uint32_t low = mask & (~mask + 1);
+      for (std::uint32_t sub = (mask - 1) & mask; sub > 0;
+           sub = (sub - 1) & mask) {
+        if (!(sub & low)) continue;
+        const auto fa = final_arena_.view(state(v, sub).final_);
+        const auto fb = final_arena_.view(state(v, mask ^ sub).final_);
+        for (std::size_t a = 0; a < fa.size(); ++a)
+          for (std::size_t b = 0; b < fb.size(); ++b)
+            base_scratch_.push_back(BaseEntry{
+                Objective{fa[a].obj.w + fb[b].obj.w,
+                          std::max(fa[a].obj.d, fb[b].obj.d)},
+                sub, static_cast<std::int32_t>(a),
+                static_cast<std::int32_t>(b)});
+      }
+      const auto kept = pareto::filter_indices(
+          base_scratch_.size(),
+          [&](std::uint32_t k) -> const Objective& {
+            return base_scratch_[k].obj;
+          },
+          filter_scratch_);
+      const std::uint32_t m = base_arena_.mark();
+      for (std::uint32_t k : kept) base_arena_.push_back(base_scratch_[k]);
+      st.base = base_arena_.since(m);
+      created_ += st.base.size();
+      merge_cands_ += base_scratch_.size();
+      kept_ += st.base.size();
+    }
+
+    for (geom::NodeId v : active_) {
+      State& st = state(v, mask);
+      final_scratch_.clear();
+      const auto own = base_arena_.view(st.base);
+      for (std::size_t i = 0; i < own.size(); ++i)
+        final_scratch_.push_back(
+            FinalEntry{own[i].obj, -1, static_cast<std::int32_t>(i)});
+      for (geom::NodeId u : active_) {
+        if (u == v) continue;
+        const auto ub = base_arena_.view(state(u, mask).base);
+        const geom::Length len = grid_.dist(u, v);
+        for (std::size_t i = 0; i < ub.size(); ++i)
+          final_scratch_.push_back(
+              FinalEntry{Objective{ub[i].obj.w + len, ub[i].obj.d + len}, u,
+                         static_cast<std::int32_t>(i)});
+      }
+      const auto kept = pareto::filter_indices(
+          final_scratch_.size(),
+          [&](std::uint32_t k) -> const Objective& {
+            return final_scratch_[k].obj;
+          },
+          filter_scratch_);
+      const std::uint32_t m = final_arena_.mark();
+      for (std::uint32_t k : kept) final_arena_.push_back(final_scratch_[k]);
+      st.final_ = final_arena_.since(m);
+      created_ += st.final_.size();
+      grow_cands_ += final_scratch_.size();
+      kept_ += st.final_.size();
+    }
+  }
+
+  void reconstruct_base(geom::NodeId v, std::uint32_t mask, std::int32_t idx,
+                        std::vector<std::pair<Point, Point>>& edges) const {
+    const BaseEntry& e =
+        base_arena_.at(state(v, mask).base, static_cast<std::uint32_t>(idx));
+    if (e.sub == 0) {
+      const geom::NodeId s =
+          sink_node_[static_cast<std::size_t>(std::countr_zero(mask))];
+      if (s != v) edges.emplace_back(grid_.point(v), grid_.point(s));
+      return;
+    }
+    reconstruct_final(v, e.sub, e.ia, edges);
+    reconstruct_final(v, mask ^ e.sub, e.ib, edges);
+  }
+
+  void reconstruct_final(geom::NodeId v, std::uint32_t mask, std::int32_t idx,
+                         std::vector<std::pair<Point, Point>>& edges) const {
+    const FinalEntry& e = final_arena_.at(state(v, mask).final_,
+                                          static_cast<std::uint32_t>(idx));
+    if (e.from < 0) {
+      reconstruct_base(v, mask, e.idx, edges);
+      return;
+    }
+    edges.emplace_back(grid_.point(v), grid_.point(e.from));
+    reconstruct_base(e.from, mask, e.idx, edges);
+  }
+
+  const Net& net_;
+  dw::ParetoDwOptions options_;
+  geom::HananGrid grid_;
+  std::uint32_t full_ = 0;
+  std::vector<geom::NodeId> active_;
+  std::vector<geom::NodeId> sink_node_;
+  std::vector<State> states_;
+  util::Arena<BaseEntry> base_arena_;
+  util::Arena<FinalEntry> final_arena_;
+  std::vector<BaseEntry> base_scratch_;
+  std::vector<FinalEntry> final_scratch_;
+  pareto::FilterScratch filter_scratch_;
+  std::uint64_t created_ = 0;
+  std::uint64_t merge_cands_ = 0;
+  std::uint64_t grow_cands_ = 0;
+  std::uint64_t kept_ = 0;
+};
+
+ReferenceDw reference_pareto_dw(const Net& net,
+                                const dw::ParetoDwOptions& options) {
+  return ReferenceSolver(net, options).run();
 }
 
 TEST(ParetoDw, TwoPinNet) {
@@ -224,6 +438,72 @@ TEST(ParetoDw, FrontierOnlyVariantAgrees) {
   util::Rng rng(77);
   const Net net = testing::random_net(rng, 6);
   EXPECT_EQ(dw::pareto_frontier(net), dw::pareto_dw(net).frontier);
+}
+
+// The sum–max merge and the L1-transform grow against the enumeration
+// reference: same frontier, same trees node for node, same diagnostics.
+// Tie-heavy nets (window 6, shared coordinates, duplicate pins) make
+// equal objectives common, so the tie rules of both phases are exercised;
+// clustered nets cover the large-coordinate general case.
+TEST(ParetoDwDifferential, MatchesEnumerationReference) {
+  struct Case {
+    std::size_t degree;
+    int nets;
+  };
+  // 2 × Σ nets = 308 nets, each solved under all four pruning options.
+  const Case cases[] = {{2, 10}, {3, 30}, {4, 30}, {5, 30}, {6, 24},
+                        {7, 16}, {8, 8},  {9, 4},  {10, 2}};
+  const bool counters = obs::compiled_in();
+  const bool was_enabled = obs::enabled();
+  if (counters) obs::set_enabled(true);
+  auto& reg = obs::StatsRegistry::instance();
+  const char* const names[] = {"dw.merge_candidates", "dw.grow_candidates",
+                               "dw.states_expanded", "pareto.points_filtered"};
+  util::Rng rng(2100);
+  dw::DwScratch scratch;
+  int solved = 0;
+  for (const Case& c : cases) {
+    for (int k = 0; k < 2 * c.nets; ++k) {
+      const bool ties = k % 2 == 0;
+      const Net net = ties ? testing::random_net(rng, c.degree, 6, true)
+                           : netgen::clustered_net(rng, c.degree, 100000);
+      for (const bool corner : {false, true}) {
+        for (const bool bbox : {false, true}) {
+          dw::ParetoDwOptions o;
+          o.corner_pruning = corner;
+          o.bbox_restriction = bbox;
+          const std::string where =
+              "degree " + std::to_string(c.degree) + " net " +
+              std::to_string(k) + " corner=" + std::to_string(corner) +
+              " bbox=" + std::to_string(bbox);
+          const ReferenceDw ref = reference_pareto_dw(net, o);
+          std::uint64_t before[4] = {};
+          for (int i = 0; i < 4; ++i) before[i] = reg.counter(names[i]).value();
+          const dw::ParetoDwResult got = dw::pareto_dw(net, o, &scratch);
+          ++solved;
+          ASSERT_EQ(got.frontier, ref.result.frontier) << where;
+          ASSERT_EQ(got.solutions_created, ref.result.solutions_created)
+              << where;
+          ASSERT_EQ(got.trees.size(), ref.result.trees.size()) << where;
+          for (std::size_t t = 0; t < got.trees.size(); ++t) {
+            ASSERT_EQ(got.trees[t].nodes(), ref.result.trees[t].nodes())
+                << where << " tree " << t;
+            ASSERT_EQ(got.trees[t].parents(), ref.result.trees[t].parents())
+                << where << " tree " << t;
+          }
+          if (!counters) continue;
+          const std::uint64_t want[4] = {
+              ref.merge_candidates, ref.grow_candidates,
+              ref.result.solutions_created, ref.points_filtered};
+          for (int i = 0; i < 4; ++i)
+            ASSERT_EQ(reg.counter(names[i]).value() - before[i], want[i])
+                << where << " " << names[i];
+        }
+      }
+    }
+  }
+  obs::set_enabled(was_enabled);
+  EXPECT_EQ(solved, 4 * 308);
 }
 
 TEST(DwScratch, ReuseAcrossSolvesIsInvisibleToResults) {
