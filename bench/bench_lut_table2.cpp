@@ -1,9 +1,9 @@
 // Table II: lookup-table generation statistics per degree.
 //
 // Generates fresh tables (no cache) for degrees 4..PATLABOR_TABLE2_MAXDEG
-// (default 6; 7 takes tens of minutes single-core, the paper spent 4.76 h
-// on 16 cores for its degree-9 table) and prints #Index, average #Topo,
-// size and generation time next to the paper's rows.
+// (default 6; 7 takes about 80 CPU-s, 20 s on 4 cores; the paper spent
+// 4.76 h on 16 cores for its degree-9 table) and prints #Index, average
+// #Topo, size and generation time next to the paper's rows.
 #include "common.hpp"
 
 int main() {
@@ -64,8 +64,8 @@ int main() {
                  "-", util::fixed(static_cast<double>(total_bytes) / 1e6, 2),
                  util::format_duration(total_time), "483,472", "-", "4.76h"});
 
-  table.print("\n[Table II] lookup-table generation (single core; paper "
-              "used 16 cores and depth 9)");
+  table.print("\n[Table II] lookup-table generation (default pool, all "
+              "cores; paper used 16 cores and depth 9)");
   std::printf("\nStored topologies: %s; our canonicalization merges more "
               "symmetric indices than the paper's, so #Index rows are "
               "smaller at equal coverage.\nCSV: lut_table2.csv\n",

@@ -15,8 +15,10 @@
 # stream quality-identical to a direct engine run; a weaker-method
 # perturbation must trip it), an ASan+UBSan pass over the tree kernels
 # (edge substitution's preorder intervals, the incremental reattach), the
-# exact RSMT's flat DP tables, the arena-backed DW solvers and the
-# SolutionSet kernels,
+# exact RSMT's flat DP tables, the arena-backed DW solvers, the
+# SolutionSet kernels and the Lemma-1 prover's fraction-free integer
+# simplex (UBSan watches it for signed overflow; test_exactlp checks it
+# against the rational reference, test_properties runs that reference),
 # then a ThreadSanitizer pass over
 # the parallel execution layer (par/, including the shared-counter
 # scheduler and the pool timeline/TimedMutex instrumentation),
@@ -220,7 +222,7 @@ lut_storage_gate() {
 # LUT storage gate (full parts): a lutgen killed mid-degree (deterministic
 # abort hook, exit 75) resumed from its checkpoint must produce a
 # content_hash-identical file; and two concurrent patlabord processes
-# serving the same mapped degree-6 table (generated here, ~6 s on 4 cores)
+# serving the same mapped degree-6 table (generated here, ~0.5 s on 4 cores)
 # must both answer byte-identically to a direct engine route over it.
 lut_resume_gate() {
   echo "== lut checkpoint: kill-and-resume lutgen hash-matches single-shot =="
@@ -377,16 +379,19 @@ cmake --build build-noobs -j \
 )
 
 if [[ $run_asan -eq 1 ]]; then
-  echo "== ASan+UBSan: tree / refine / rsmt / dw / lut / pareto / serve tests =="
+  echo "== ASan+UBSan: tree / refine / rsmt / dw / lut / pareto / exactlp / serve tests =="
   cmake -B build-asan -S . -G Ninja -DPATLABOR_ASAN=ON
   cmake --build build-asan -j \
     --target test_tree test_refine test_rsmt test_dw test_lut \
-    test_lut_format test_pareto test_core test_serve
+    test_lut_format test_pareto test_exactlp test_properties test_core \
+    test_serve
   (
     cd build-asan
     export ASAN_OPTIONS="detect_leaks=1:halt_on_error=1"
     export UBSAN_OPTIONS="halt_on_error=1"
     ./tests/test_pareto
+    ./tests/test_exactlp
+    ./tests/test_properties
     ./tests/test_tree
     ./tests/test_refine
     ./tests/test_rsmt

@@ -1,8 +1,9 @@
 #include "patlabor/exactlp/dominance_prover.hpp"
 
+#include <algorithm>
 #include <cassert>
-
-#include "patlabor/exactlp/simplex.hpp"
+#include <cstddef>
+#include <stdexcept>
 
 namespace patlabor::exactlp {
 
@@ -20,6 +21,22 @@ bool componentwise_le(std::span<const Count> a, std::span<const Count> b) {
   return true;
 }
 
+[[noreturn, gnu::cold, gnu::noinline]] void overflow() {
+  throw std::overflow_error("DominanceProver: int64 tableau overflow");
+}
+
+std::int64_t checked_mul(std::int64_t a, std::int64_t b) {
+  std::int64_t r;
+  if (__builtin_mul_overflow(a, b, &r)) overflow();
+  return r;
+}
+
+std::int64_t checked_sub(std::int64_t a, std::int64_t b) {
+  std::int64_t r;
+  if (__builtin_sub_overflow(a, b, &r)) overflow();
+  return r;
+}
+
 }  // namespace
 
 bool DominanceProver::row_dominated(std::span<const Count> a,
@@ -28,34 +45,134 @@ bool DominanceProver::row_dominated(std::span<const Count> a,
   for (int r = 0; r < d2.rows; ++r)
     if (componentwise_le(a, row_of(d2, r))) return true;
   if (d2.rows <= 1) return false;  // one row and it failed the fast path
-
-  // Exact LP feasibility:  λ >= 0, Σλ = 1, (D²)ᵀλ - s = a  (s >= 0).
-  // Variables: λ (m) then slacks s (dim); constraints: dim + 1 rows.
-  // Built into the reused problem_/scratch_ buffers: per-call allocation
-  // count is zero once capacities have warmed up.
   ++lp_calls_;
-  const int m = d2.rows;
-  const int dim = d2.dim;
-  LpProblem& p = problem_;
-  const std::size_t nvars = static_cast<std::size_t>(m + dim);
-  p.c.assign(nvars, Fraction(0));
-  p.a.resize(static_cast<std::size_t>(dim) + 1);
-  p.b.clear();
-  p.b.reserve(static_cast<std::size_t>(dim) + 1);
-  for (int i = 0; i < dim; ++i) {
-    std::vector<Fraction>& row = p.a[static_cast<std::size_t>(i)];
-    row.assign(nvars, Fraction(0));
-    for (int j = 0; j < m; ++j) row[static_cast<std::size_t>(j)] =
-        Fraction(row_of(d2, j)[static_cast<std::size_t>(i)]);
-    row[static_cast<std::size_t>(m + i)] = Fraction(-1);  // minus slack
-    p.b.push_back(Fraction(a[static_cast<std::size_t>(i)]));
+
+  // Coordinates: a_i <= min_j D²[j][i] holds for every λ in the simplex,
+  // a_i > max_j D²[j][i] for none.  Some coordinate survives, else a row
+  // would have passed the fast path.
+  cols_.clear();
+  for (int i = 0; i < d2.dim; ++i) {
+    Count lo = d2.d[static_cast<std::size_t>(i)];
+    Count hi = lo;
+    for (int r = 1; r < d2.rows; ++r) {
+      const Count v = d2.d[static_cast<std::size_t>(r * d2.dim + i)];
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    const Count ai = a[static_cast<std::size_t>(i)];
+    if (ai > hi) return false;
+    if (ai > lo) cols_.push_back(i);
   }
-  std::vector<Fraction>& simplex_row = p.a[static_cast<std::size_t>(dim)];
-  simplex_row.assign(nvars, Fraction(0));
-  for (int j = 0; j < m; ++j)
-    simplex_row[static_cast<std::size_t>(j)] = Fraction(1);
-  p.b.push_back(Fraction(1));
-  return feasible(p, scratch_);
+  assert(!cols_.empty());
+
+  // Rows: drop row r when another row q is >= it on every kept coordinate
+  // (strictly somewhere, or q < r among equal rows): moving r's weight to
+  // q keeps every kept inequality, and dropped coordinates hold for any λ.
+  rows_.clear();
+  for (int r = 0; r < d2.rows; ++r) {
+    const Count* pr = d2.d.data() + static_cast<std::size_t>(r) * d2.dim;
+    bool dominated = false;
+    for (int q = 0; q < d2.rows && !dominated; ++q) {
+      if (q == r) continue;
+      const Count* pq = d2.d.data() + static_cast<std::size_t>(q) * d2.dim;
+      bool ge = true;
+      bool gt = false;
+      for (const int i : cols_) {
+        ge = ge && pq[i] >= pr[i];
+        gt = gt || pq[i] > pr[i];
+      }
+      dominated = ge && (gt || q < r);
+    }
+    if (!dominated) rows_.push_back(r);
+  }
+  return feasible(a, d2);
+}
+
+bool DominanceProver::feasible(std::span<const Count> a, const ParamView& d2) {
+  // Phase 1 of  Σ_j λ_j D²[j][i] − s_i = a_i  (i in cols_),  Σ_j λ_j = 1,
+  // λ, s >= 0, starting from the all-artificial basis.  Columns are
+  // [λ (m) | s (k) | rhs]; rows are the k coordinate rows, the simplex row
+  // and the phase-1 objective row.  Artificial columns are not stored: an
+  // artificial that leaves the basis never re-enters, which keeps the
+  // verdict (it is then fixed at 0) and Bland's termination per stage.
+  // Basic indices: λ_j = j, s_i = m + i, the artificial of row i = m + k + i.
+  const int m = static_cast<int>(rows_.size());
+  const int k = static_cast<int>(cols_.size());
+  const int cols = m + k;
+  const int width = cols + 1;
+  const int obj = k + 1;
+  tableau_.assign(static_cast<std::size_t>((k + 2) * width), 0);
+  basis_.resize(static_cast<std::size_t>(k + 1));
+  std::int64_t* const t = tableau_.data();
+  int* const basis = basis_.data();
+  auto cell = [&](int i, int j) -> std::int64_t& { return t[i * width + j]; };
+  for (int i = 0; i < k; ++i) {
+    const int col = cols_[static_cast<std::size_t>(i)];
+    for (int j = 0; j < m; ++j)
+      cell(i, j) = d2.d[static_cast<std::size_t>(
+          rows_[static_cast<std::size_t>(j)] * d2.dim + col)];
+    cell(i, m + i) = -1;
+    // Counts are nonnegative, so a kept a_i > min_j D²[j][i] >= 0: the
+    // artificial basis starts feasible.
+    cell(i, cols) = a[static_cast<std::size_t>(col)];
+    assert(cell(i, cols) > 0);
+  }
+  for (int j = 0; j < m; ++j) cell(k, j) = 1;
+  cell(k, cols) = 1;
+  // Reduced costs of minimizing the sum of the artificials: minus the sum
+  // of the constraint rows (no overflow: k + 1 counts of at most 2^31).
+  for (int j = 0; j <= cols; ++j) {
+    std::int64_t sum = 0;
+    for (int i = 0; i <= k; ++i) sum += cell(i, j);
+    cell(obj, j) = -sum;
+  }
+  for (int i = 0; i <= k; ++i) basis[i] = cols + i;
+
+  std::int64_t det = 1;
+  while (true) {
+    // The objective rhs is −det · (sum of the artificials) <= 0.
+    if (cell(obj, cols) == 0) return true;
+    int enter = -1;  // Bland: the smallest column with a negative cost
+    for (int j = 0; j < cols; ++j) {
+      if (cell(obj, j) < 0) {
+        enter = j;
+        break;
+      }
+    }
+    if (enter < 0) return false;  // optimal with a positive artificial sum
+
+    // Ratio test by cross-multiplication (all pivot candidates are
+    // positive), ties to the smallest basic index.
+    int leave = -1;
+    for (int i = 0; i <= k; ++i) {
+      if (cell(i, enter) <= 0) continue;
+      if (leave < 0) {
+        leave = i;
+        continue;
+      }
+      const std::int64_t lhs = checked_mul(cell(i, cols), cell(leave, enter));
+      const std::int64_t rhs = checked_mul(cell(leave, cols), cell(i, enter));
+      if (lhs < rhs || (lhs == rhs && basis[i] < basis[leave])) leave = i;
+    }
+    // Phase 1 is bounded below by 0, so a negative cost has a pivot row.
+    assert(leave >= 0);
+
+    // Fraction-free pivot: row `leave` stays, every other row (the
+    // objective too) becomes (T[i][j]·p − T[i][enter]·T[leave][j]) / det.
+    const std::int64_t p = cell(leave, enter);
+    const std::int64_t* prow = &cell(leave, 0);
+    for (int i = 0; i <= obj; ++i) {
+      if (i == leave) continue;
+      std::int64_t* irow = &cell(i, 0);
+      const std::int64_t f = irow[enter];
+      for (int j = 0; j < width; ++j)
+        irow[j] = checked_sub(checked_mul(irow[j], p),
+                              checked_mul(f, prow[j])) /
+                  det;
+    }
+    det = p;
+    basis[leave] = enter;
+  }
 }
 
 bool DominanceProver::delay_envelope_le(const ParamView& d1,

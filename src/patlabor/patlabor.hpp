@@ -31,7 +31,6 @@
 #include "patlabor/eval/curves.hpp"
 #include "patlabor/eval/metrics.hpp"
 #include "patlabor/exactlp/dominance_prover.hpp"
-#include "patlabor/exactlp/simplex.hpp"
 #include "patlabor/geom/box.hpp"
 #include "patlabor/geom/canonical.hpp"
 #include "patlabor/geom/hanan.hpp"

@@ -9,6 +9,9 @@
 // solve at degrees 7 and 9 must stay at or below 16 allocations.  It makes
 // 7 (the Hanan grid, the pruning mask, the frontier); the bound keeps the
 // per-mask merge and sweep rows from allocating in the hot loop.
+// The Lemma-1 prover: after a warm-up pass, delay_envelope_le must make no
+// allocation at dims 10 and 16.  Its reduction lists and integer tableau
+// live in scratch the prover owns and reuses.
 //
 // This binary replaces the global operator new with a counting forwarder.
 // The replacement is program-wide, so it lives in this one test binary.
@@ -22,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "patlabor/dw/pareto_dw.hpp"
+#include "patlabor/exactlp/dominance_prover.hpp"
 #include "patlabor/lut/lut.hpp"
 #include "patlabor/netgen/netgen.hpp"
 #include "patlabor/par/pool.hpp"
@@ -93,6 +97,47 @@ TEST(AllocBudget, ParetoDwReusedScratch) {
     ASSERT_FALSE(r.frontier.empty());
   }
   EXPECT_LE(worst, 16u) << "allocations in the worst reused-scratch solve";
+}
+
+TEST(AllocBudget, DominanceProverSteadyState) {
+  using exactlp::Count;
+  using exactlp::ParamView;
+  util::Rng rng(29);
+  for (const int dim : {10, 16}) {
+    // Five D² rows; each D¹ row is the floor of the mean of two of them, so
+    // most checks get past the fast path into the reduction and simplex.
+    constexpr int kRows = 5;
+    std::vector<std::vector<Count>> d1s, d2s;
+    for (int k = 0; k < 64; ++k) {
+      std::vector<Count> d2(static_cast<std::size_t>(kRows * dim));
+      for (Count& v : d2) v = static_cast<Count>(rng.index(5));
+      std::vector<Count> d1(d2.size());
+      for (int r = 0; r < kRows; ++r) {
+        const std::size_t p = rng.index(kRows) * static_cast<std::size_t>(dim);
+        const std::size_t q = rng.index(kRows) * static_cast<std::size_t>(dim);
+        for (int i = 0; i < dim; ++i)
+          d1[static_cast<std::size_t>(r * dim + i)] =
+              (d2[p + static_cast<std::size_t>(i)] +
+               d2[q + static_cast<std::size_t>(i)]) /
+              2;
+      }
+      d1s.push_back(std::move(d1));
+      d2s.push_back(std::move(d2));
+    }
+    exactlp::DominanceProver prover;
+    const auto run_all = [&] {
+      for (std::size_t k = 0; k < d1s.size(); ++k)
+        prover.delay_envelope_le(ParamView{{}, d1s[k], kRows, dim},
+                                 ParamView{{}, d2s[k], kRows, dim});
+    };
+    run_all();  // warm-up: the scratch reaches its largest size
+    const std::int64_t calls = prover.lp_calls();
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    run_all();
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u)
+        << "allocations over " << d1s.size() << " checks at dim " << dim;
+    EXPECT_GT(prover.lp_calls() - calls, 64) << "dim " << dim;
+  }
 }
 
 }  // namespace

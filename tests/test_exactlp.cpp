@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "patlabor/exactlp/dominance_prover.hpp"
-#include "patlabor/exactlp/fraction.hpp"
-#include "patlabor/exactlp/simplex.hpp"
 #include "patlabor/util/rng.hpp"
+#include "rational_lp.hpp"
 
 namespace patlabor {
 namespace {
@@ -177,6 +181,140 @@ TEST_P(ProverAgreement, SoundAgainstSampling) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProverAgreement, ::testing::Range(0, 40));
+
+// Row-by-row reference on the rational simplex: the single-row fast path,
+// then one LP per remaining row,  λ >= 0, Σλ = 1, (D²)ᵀλ − s = a, s >= 0.
+// `lp_calls` counts the LPs, as DominanceProver::lp_calls() does.
+bool reference_envelope_le(const ParamView& d1, const ParamView& d2,
+                           std::int64_t& lp_calls) {
+  const auto row = [](const ParamView& v, int r) {
+    return v.d.subspan(static_cast<std::size_t>(r * v.dim),
+                       static_cast<std::size_t>(v.dim));
+  };
+  for (int r1 = 0; r1 < d1.rows; ++r1) {
+    const std::span<const Count> a = row(d1, r1);
+    bool single = false;
+    for (int r2 = 0; r2 < d2.rows && !single; ++r2) {
+      single = true;
+      for (int i = 0; i < d2.dim; ++i)
+        single = single && a[static_cast<std::size_t>(i)] <=
+                               row(d2, r2)[static_cast<std::size_t>(i)];
+    }
+    if (single) continue;
+    if (d2.rows <= 1) return false;
+    ++lp_calls;
+    const int m = d2.rows;
+    const std::size_t nvars = static_cast<std::size_t>(m + d2.dim);
+    LpProblem p;
+    p.c.assign(nvars, Fraction(0));
+    for (int i = 0; i < d2.dim; ++i) {
+      std::vector<Fraction> eq(nvars, Fraction(0));
+      for (int j = 0; j < m; ++j)
+        eq[static_cast<std::size_t>(j)] =
+            Fraction(row(d2, j)[static_cast<std::size_t>(i)]);
+      eq[static_cast<std::size_t>(m + i)] = Fraction(-1);
+      p.a.push_back(std::move(eq));
+      p.b.push_back(Fraction(a[static_cast<std::size_t>(i)]));
+    }
+    std::vector<Fraction> simplex(nvars, Fraction(0));
+    for (int j = 0; j < m; ++j) simplex[static_cast<std::size_t>(j)] = 1;
+    p.a.push_back(std::move(simplex));
+    p.b.push_back(Fraction(1));
+    if (!exactlp::feasible(p)) return false;
+  }
+  return true;
+}
+
+// Entries 0..4, zero half the time.
+Count small_count(util::Rng& rng) {
+  return rng.index(2) == 0 ? 0 : static_cast<Count>(rng.index(5));
+}
+
+// A random (D¹, D²) pair: D² entries biased to zeros with duplicated rows;
+// D¹ rows are copies of D² rows (ties) or the elementwise floor of the mean
+// of two or three D² rows, which mostly needs the LP to prove.  Half of the
+// pairs also get random rows, ceilings and one-coordinate bumps, which
+// land on both sides of the verdict.
+void random_pair(util::Rng& rng, int r1, int r2, int dim,
+                 std::vector<Count>& d1, std::vector<Count>& d2) {
+  const auto udim = static_cast<std::size_t>(dim);
+  d2.assign(static_cast<std::size_t>(r2) * udim, 0);
+  for (Count& v : d2) v = small_count(rng);
+  for (int r = 1; r < r2; ++r)
+    if (rng.index(4) == 0)
+      std::copy_n(d2.begin() + static_cast<std::ptrdiff_t>(
+                                   rng.index(static_cast<std::size_t>(r)) *
+                                   udim),
+                  dim, d2.begin() + static_cast<std::ptrdiff_t>(r * dim));
+  const auto pick = [&] {
+    return d2.data() + rng.index(static_cast<std::size_t>(r2)) * udim;
+  };
+  const bool mixed = rng.index(2) == 0;
+  d1.assign(static_cast<std::size_t>(r1) * udim, 0);
+  for (int r = 0; r < r1; ++r) {
+    Count* out = d1.data() + static_cast<std::size_t>(r) * udim;
+    const Count* p = pick();
+    const Count* q = pick();
+    const Count* t = pick();
+    switch (rng.index(mixed ? 6 : 3)) {
+      case 0:
+        std::copy_n(p, dim, out);
+        break;
+      case 1:
+        for (int i = 0; i < dim; ++i) out[i] = (p[i] + q[i]) / 2;
+        break;
+      case 2:
+        for (int i = 0; i < dim; ++i) out[i] = (p[i] + q[i] + t[i]) / 3;
+        break;
+      case 3:
+        for (int i = 0; i < dim; ++i) out[i] = small_count(rng);
+        break;
+      default:
+        for (int i = 0; i < dim; ++i) out[i] = (p[i] + q[i] + 1) / 2;
+        break;
+    }
+    if (mixed && rng.index(3) == 0) ++out[rng.index(udim)];
+  }
+}
+
+TEST(DominanceProver, MatchesRationalReference) {
+  util::Rng rng(2025);
+  DominanceProver prover;
+  std::int64_t ref_lp_calls = 0;
+  int checks = 0, lp_true = 0, lp_false = 0;
+  std::vector<Count> d1, d2;
+  for (; checks < 20000; ++checks) {
+    const int r1 = 1 + static_cast<int>(rng.index(8));
+    const int r2 = 1 + static_cast<int>(rng.index(8));
+    const int dim = 2 + static_cast<int>(rng.index(15));
+    random_pair(rng, r1, r2, dim, d1, d2);
+    const ParamView v1{{}, d1, r1, dim};
+    const ParamView v2{{}, d2, r2, dim};
+    const std::int64_t ref_before = ref_lp_calls;
+    const bool expected = reference_envelope_le(v1, v2, ref_lp_calls);
+    const bool got = prover.delay_envelope_le(v1, v2);
+    ASSERT_EQ(got, expected) << "check " << checks << ": " << r1 << "x"
+                             << dim << " against " << r2 << "x" << dim;
+    ASSERT_EQ(prover.lp_calls(), ref_lp_calls) << "check " << checks;
+    if (ref_lp_calls > ref_before) ++(expected ? lp_true : lp_false);
+  }
+  // Both verdicts must be reached through the LP, not only the fast path.
+  EXPECT_GT(lp_true, 3000);
+  EXPECT_GT(lp_false, 3000);
+}
+
+TEST(DominanceProver, OverflowIsAnErrorNotAVerdict) {
+  // Counts near 2^30: the first pivot leaves entries near 2^60, so the
+  // second pivot's products leave int64.  The row (B+1, B+1) needs both
+  // D² rows: the mean of (2B−1, 3) and (3, 2B−1) covers it exactly.
+  constexpr Count kB = Count{1} << 30;
+  const std::vector<Count> d1{kB + 1, kB + 1};
+  const std::vector<Count> d2{kB + (kB - 1), 3, 3, kB + (kB - 1)};
+  DominanceProver prover;
+  EXPECT_THROW(prover.delay_envelope_le(ParamView{{}, d1, 1, 2},
+                                        ParamView{{}, d2, 2, 2}),
+               std::overflow_error);
+}
 
 }  // namespace
 }  // namespace patlabor

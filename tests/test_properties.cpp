@@ -5,13 +5,13 @@
 #include <map>
 #include <set>
 
-#include "patlabor/exactlp/simplex.hpp"
 #include "patlabor/lut/pattern.hpp"
 #include "patlabor/pareto/pareto_set.hpp"
 #include "patlabor/rsma/rsma.hpp"
 #include "patlabor/rsmt/mst.hpp"
 #include "patlabor/rsmt/rsmt.hpp"
 #include "patlabor/tree/refine.hpp"
+#include "rational_lp.hpp"
 #include "test_util.hpp"
 
 namespace patlabor {
