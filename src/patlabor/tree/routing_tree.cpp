@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <limits>
-#include <map>
+#include <unordered_map>
 
 namespace patlabor::tree {
 
@@ -22,8 +23,10 @@ RoutingTree RoutingTree::from_edges(
   t.nodes_ = net.pins;
   t.num_pins_ = net.pins.size();
 
-  // Map distinct points to node ids; pins get their fixed ids first.
-  std::map<Point, std::int32_t> id;
+  // Map distinct points to node ids in first-seen order; pins get their
+  // fixed ids first.
+  std::unordered_map<Point, std::int32_t, geom::PointHash> id;
+  id.reserve(t.nodes_.size() + edges.size());
   for (std::size_t i = 0; i < t.nodes_.size(); ++i) {
     // Duplicate pins map to the first occurrence; extra duplicates become
     // isolated nodes attached below.
@@ -35,45 +38,57 @@ RoutingTree RoutingTree::from_edges(
     if (inserted) t.nodes_.push_back(p);
     return it->second;
   };
+  // Each edge interns its second endpoint before its first; the ids of
+  // points new to the pool, and so the parents below, follow that order.
+  std::vector<std::int32_t> ends(2 * edges.size());
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    ends[2 * e + 1] = intern(edges[e].second);
+    ends[2 * e] = intern(edges[e].first);
+  }
 
-  std::vector<std::vector<std::int32_t>> adj(t.nodes_.size());
-  auto add_adj = [&](std::int32_t a, std::int32_t b) {
-    const std::size_t need =
-        static_cast<std::size_t>(std::max(a, b)) + 1;
-    if (adj.size() < need) adj.resize(need);
-    adj[static_cast<std::size_t>(a)].push_back(b);
-    adj[static_cast<std::size_t>(b)].push_back(a);
-  };
-  for (const auto& [pa, pb] : edges) add_adj(intern(pa), intern(pb));
-  adj.resize(t.nodes_.size());
+  // Adjacency as CSR, each list in edge order.
+  const std::size_t nn = t.nodes_.size();
+  std::vector<std::uint32_t> start(nn + 1, 0);
+  for (std::int32_t v : ends) ++start[static_cast<std::size_t>(v) + 1];
+  for (std::size_t v = 0; v < nn; ++v) start[v + 1] += start[v];
+  std::vector<std::int32_t> adj(ends.size());
+  for (std::size_t e = 0; e < ends.size(); e += 2) {
+    adj[start[static_cast<std::size_t>(ends[e])]++] = ends[e + 1];
+    adj[start[static_cast<std::size_t>(ends[e + 1])]++] = ends[e];
+  }
+  for (std::size_t v = nn; v > 0; --v) start[v] = start[v - 1];
+  start[0] = 0;
 
-  // Orient as a shortest-path tree from the source (O(V^2) Dijkstra).
+  // Orient as a shortest-path tree from the source: a binary-heap Dijkstra
+  // that settles the lowest (dist, id) first and skips stale entries.
   // For an acyclic edge set this is the unique orientation; when duplicate
   // or overlapping edges produced cycles in the union, the SPT orientation
   // guarantees path lengths (hence delay) never exceed those of any
   // intended derivation of the same edge set.
-  t.parent_.assign(t.nodes_.size(), kNoParent);
-  const std::size_t nn = t.nodes_.size();
+  t.parent_.assign(nn, kNoParent);
   constexpr Length kUnreached = std::numeric_limits<Length>::max() / 4;
   std::vector<Length> dist(nn, kUnreached);
   std::vector<bool> seen(nn, false);
+  using Entry = std::pair<Length, std::int32_t>;
+  std::vector<Entry> heap;
+  heap.reserve(ends.size() + 1);
   dist[0] = 0;
-  for (std::size_t round = 0; round < nn; ++round) {
-    std::size_t u = nn;
-    Length best = kUnreached;
-    for (std::size_t v = 0; v < nn; ++v)
-      if (!seen[v] && dist[v] < best) {
-        best = dist[v];
-        u = v;
-      }
-    if (u == nn) break;
+  heap.emplace_back(0, 0);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    const auto [du, ui] = heap.back();
+    heap.pop_back();
+    const auto u = static_cast<std::size_t>(ui);
+    if (seen[u] || du > dist[u]) continue;
     seen[u] = true;
-    for (std::int32_t vi : adj[u]) {
-      const auto v = static_cast<std::size_t>(vi);
-      const Length nd = dist[u] + geom::l1(t.nodes_[u], t.nodes_[v]);
+    for (std::uint32_t k = start[u]; k < start[u + 1]; ++k) {
+      const auto v = static_cast<std::size_t>(adj[k]);
+      const Length nd = du + geom::l1(t.nodes_[u], t.nodes_[v]);
       if (nd < dist[v]) {
         dist[v] = nd;
-        t.parent_[v] = static_cast<std::int32_t>(u);
+        t.parent_[v] = ui;
+        heap.emplace_back(nd, adj[k]);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>());
       }
     }
   }
@@ -187,40 +202,50 @@ std::string RoutingTree::validate() const {
 }
 
 void RoutingTree::normalize() {
+  // Work arrays shared by every round: child counts, the child of each
+  // single-child node, and the compaction map.
+  std::vector<std::int32_t> count, only, remap;
+  auto count_children = [&] {
+    count.assign(nodes_.size(), 0);
+    only.assign(nodes_.size(), kNoParent);
+    for (std::size_t v = 0; v < nodes_.size(); ++v)
+      if (parent_[v] != kNoParent) {
+        ++count[static_cast<std::size_t>(parent_[v])];
+        only[static_cast<std::size_t>(parent_[v])] =
+            static_cast<std::int32_t>(v);
+      }
+  };
   // 1. Iteratively drop Steiner leaves.
   while (true) {
-    std::vector<int> deg(nodes_.size(), 0);
-    for (std::size_t v = 0; v < nodes_.size(); ++v)
-      if (parent_[v] != kNoParent) ++deg[static_cast<std::size_t>(parent_[v])];
-    bool changed = false;
+    count_children();
     // Collect in one sweep; removal = mark dead, compact at the end.
-    std::vector<bool> dead(nodes_.size(), false);
+    remap.assign(nodes_.size(), 0);
+    bool changed = false;
     for (std::size_t v = num_pins_; v < nodes_.size(); ++v) {
-      if (deg[v] == 0) {
-        dead[v] = true;
+      if (count[v] == 0) {
+        remap[v] = -1;
         changed = true;
       }
     }
     if (!changed) break;
-    compact(dead);
-    // deg recomputed next iteration.
+    compact(remap);
   }
   // 2. Splice out degree-2 Steiner pass-throughs lying on a monotone path
   //    between parent and child (objective-neutral); off-path elbows are
   //    kept, they carry geometry.
   while (true) {
-    auto ch = children();
+    count_children();
     bool changed = false;
     for (std::size_t v = num_pins_; v < nodes_.size(); ++v) {
-      if (ch[v].size() != 1 || parent_[v] == kNoParent) continue;
+      if (count[v] != 1 || parent_[v] == kNoParent) continue;
       const std::size_t p = static_cast<std::size_t>(parent_[v]);
-      const std::size_t c = static_cast<std::size_t>(ch[v][0]);
+      const std::size_t c = static_cast<std::size_t>(only[v]);
       if (geom::l1(nodes_[p], nodes_[v]) + geom::l1(nodes_[v], nodes_[c]) ==
           geom::l1(nodes_[p], nodes_[c])) {
         parent_[c] = static_cast<std::int32_t>(p);
-        std::vector<bool> dead(nodes_.size(), false);
-        dead[v] = true;
-        compact(dead);
+        remap.assign(nodes_.size(), 0);
+        remap[v] = -1;
+        compact(remap);
         changed = true;
         break;  // indices shifted; restart the scan
       }
@@ -229,25 +254,24 @@ void RoutingTree::normalize() {
   }
 }
 
-void RoutingTree::compact(const std::vector<bool>& dead) {
-  std::vector<std::int32_t> remap(nodes_.size(), -1);
-  std::size_t next = 0;
-  for (std::size_t v = 0; v < nodes_.size(); ++v) {
-    if (v < num_pins_ || !dead[v]) remap[v] = static_cast<std::int32_t>(next++);
-  }
-  std::vector<Point> nn(next);
-  std::vector<std::int32_t> np(next, kNoParent);
+void RoutingTree::compact(std::vector<std::int32_t>& remap) {
+  std::int32_t next = 0;
+  for (std::size_t v = 0; v < nodes_.size(); ++v)
+    remap[v] = v < num_pins_ || remap[v] >= 0 ? next++ : -1;
+  // remap[v] <= v, so moving entries forward in index order never
+  // overwrites one that is still to be read.
   for (std::size_t v = 0; v < nodes_.size(); ++v) {
     if (remap[v] < 0) continue;
-    nn[static_cast<std::size_t>(remap[v])] = nodes_[v];
-    if (parent_[v] != kNoParent) {
-      const std::int32_t rp = remap[static_cast<std::size_t>(parent_[v])];
-      assert(rp >= 0 && "parent of a live node was removed");
-      np[static_cast<std::size_t>(remap[v])] = rp;
-    }
+    const auto r = static_cast<std::size_t>(remap[v]);
+    const std::int32_t p = parent_[v];
+    nodes_[r] = nodes_[v];
+    parent_[r] =
+        p == kNoParent ? kNoParent : remap[static_cast<std::size_t>(p)];
+    assert((p == kNoParent || parent_[r] >= 0) &&
+           "parent of a live node was removed");
   }
-  nodes_ = std::move(nn);
-  parent_ = std::move(np);
+  nodes_.resize(static_cast<std::size_t>(next));
+  parent_.resize(static_cast<std::size_t>(next));
 }
 
 std::uint64_t RoutingTree::structural_hash() const {

@@ -34,8 +34,11 @@ class RoutingTree {
 
   /// Builds a tree from an undirected edge list over points.  The edge set
   /// must connect all pins; orientation (parent pointers) is the
-  /// shortest-path tree from the source by an O(V^2) Dijkstra over L1 edge
-  /// lengths.  Points not equal to any pin become Steiner nodes.  Degree-2
+  /// shortest-path tree from the source over L1 edge lengths, found by a
+  /// binary-heap Dijkstra (O(E log E)) that settles the lowest (distance,
+  /// id) first.  Points are interned through a hash map in first-seen order
+  /// (pins first, then each edge's second endpoint before its first).
+  /// Points not equal to any pin become Steiner nodes.  Degree-2
   /// pass-through Steiner nodes are preserved as given.
   static RoutingTree from_edges(const Net& net,
                                 std::span<const std::pair<Point, Point>> edges);
@@ -90,8 +93,9 @@ class RoutingTree {
   std::uint64_t structural_hash() const;
 
  private:
-  /// Removes nodes flagged dead (pins are never removed) and re-indexes.
-  void compact(const std::vector<bool>& dead);
+  /// Removes the nodes with remap[v] < 0 (pins are never removed) and
+  /// re-indexes in place; remap is left holding each node's new index.
+  void compact(std::vector<std::int32_t>& remap);
 
   std::vector<Point> nodes_;
   std::vector<std::int32_t> parent_;

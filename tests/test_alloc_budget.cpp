@@ -12,6 +12,11 @@
 // The Lemma-1 prover: after a warm-up pass, delay_envelope_le must make no
 // allocation at dims 10 and 16.  Its reduction lists and integer tableau
 // live in scratch the prover owns and reuses.
+// Refinement: one refine(t, kEither, 4) call on a degree-64 clustered-net
+// RSMT must stay at or below 32 allocations, whatever its pass count.
+// Per-pass oracle vectors, per-node children lists and a children rebuild
+// per Steinerization merge cost 1,576-1,890 per call; one scratch reused
+// by every pass and an in-place normalize cost 25.
 //
 // This binary replaces the global operator new with a counting forwarder.
 // The replacement is program-wide, so it lives in this one test binary.
@@ -30,6 +35,7 @@
 #include "patlabor/netgen/netgen.hpp"
 #include "patlabor/par/pool.hpp"
 #include "patlabor/rsmt/rsmt.hpp"
+#include "patlabor/tree/refine.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -138,6 +144,30 @@ TEST(AllocBudget, DominanceProverSteadyState) {
         << "allocations over " << d1s.size() << " checks at dim " << dim;
     EXPECT_GT(prover.lp_calls() - calls, 64) << "dim " << dim;
   }
+}
+
+TEST(AllocBudget, RefineReusesScratch) {
+  util::Rng rng(31);
+  std::uint64_t worst = 0;
+  int multi_pass = 0;
+  for (int i = 0; i < 8; ++i) {
+    const tree::RoutingTree seed =
+        rsmt::rsmt(netgen::clustered_net(rng, 64));
+    tree::RoutingTree t = seed;
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    tree::refine(t, tree::RefineMode::kEither, 4);
+    const std::uint64_t allocs =
+        g_allocs.load(std::memory_order_relaxed) - before;
+    worst = std::max(worst, allocs);
+    // A single-pass refine that ends elsewhere shows the four-pass call
+    // really ran more than one pass.
+    tree::RoutingTree once = seed;
+    tree::refine(once, tree::RefineMode::kEither, 1);
+    if (once.parents() != t.parents() || once.nodes() != t.nodes())
+      ++multi_pass;
+  }
+  EXPECT_GT(multi_pass, 0);
+  EXPECT_LE(worst, 32u) << "allocations in the worst degree-64 refine";
 }
 
 }  // namespace

@@ -402,6 +402,49 @@ TEST_P(PatLaborLargeNets, LocalSearchInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PatLaborLargeNets, ::testing::Range(0, 10));
 
+// Byte-identity guard on the local search: a digest of every frontier point
+// and every realizing tree (nodes and parents) of core::patlabor at λ = 7,
+// with numeric Pareto-DW solving the subnets, on seeded clustered nets of
+// degree 8–64 (six of each).  The constant pins today's output, so a kernel
+// rewrite in refine, from_edges, the RSMT seed or DW that changes any tree
+// fails here.
+TEST(PatLabor, LocalSearchGoldenDigest) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  util::Rng rng(2323);
+  PatLaborOptions opt;
+  opt.lambda = 7;
+  std::size_t points = 0;
+  std::vector<Net> nets;
+  for (int rep = 0; rep < 6; ++rep)
+    for (const std::size_t degree : {8, 10, 12, 16, 20, 24, 32, 40, 48, 64})
+      nets.push_back(netgen::clustered_net(rng, degree));
+  for (const Net& net : nets) {
+    const auto r = core::patlabor(net, opt);
+    ASSERT_EQ(r.trees.size(), r.frontier.size());
+    mix(static_cast<std::int64_t>(r.frontier.size()));
+    for (std::size_t i = 0; i < r.frontier.size(); ++i) {
+      mix(r.frontier[i].w);
+      mix(r.frontier[i].d);
+      const tree::RoutingTree& t = r.trees[i];
+      mix(static_cast<std::int64_t>(t.num_nodes()));
+      for (std::size_t v = 0; v < t.num_nodes(); ++v) {
+        mix(t.node(v).x);
+        mix(t.node(v).y);
+        mix(t.parent(v));
+      }
+    }
+    points += r.frontier.size();
+  }
+  EXPECT_GT(points, 100u);
+  EXPECT_EQ(h, 0x95b9e85b4f75c7bdULL) << std::hex << "digest 0x" << h;
+}
+
 TEST(PatLabor, DegenerateAndTinyNets) {
   Net net1;
   net1.pins = {{5, 5}, {5, 5}};  // duplicate pin

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "patlabor/geom/box.hpp"
+#include "patlabor/netgen/netgen.hpp"
 #include "patlabor/rsma/rsma.hpp"
 #include "patlabor/rsmt/mst.hpp"
 #include "patlabor/rsmt/rsmt.hpp"
@@ -141,6 +142,128 @@ void scramble(RoutingTree& t, util::Rng& rng, int moves) {
   }
 }
 
+// The rescan-from-0 Steinerization, kept as the differential oracle for
+// tree::steinerize: after every merge it rebuilds the children lists and
+// restarts the scan at node 0.
+Length reference_steinerize(RoutingTree& t) {
+  auto median3 = [](const Point& a, const Point& b, const Point& c) {
+    auto med = [](geom::Coord x, geom::Coord y, geom::Coord z) {
+      return std::max(std::min(x, y), std::min(std::max(x, y), z));
+    };
+    return Point{med(a.x, b.x, c.x), med(a.y, b.y, c.y)};
+  };
+  Length saved = 0;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    const auto ch = t.children();
+    for (std::size_t p = 0; p < t.num_nodes(); ++p) {
+      const auto& cs = ch[p];
+      if (cs.size() < 2) continue;
+      Length best_gain = 0;
+      std::size_t bi = 0, bj = 0;
+      Point best_s{};
+      for (std::size_t i = 0; i < cs.size(); ++i) {
+        for (std::size_t j = i + 1; j < cs.size(); ++j) {
+          const Point s = median3(t.node(p),
+                                  t.node(static_cast<std::size_t>(cs[i])),
+                                  t.node(static_cast<std::size_t>(cs[j])));
+          const Length gain = geom::l1(t.node(p), s);
+          if (gain > best_gain) {
+            best_gain = gain;
+            bi = static_cast<std::size_t>(cs[i]);
+            bj = static_cast<std::size_t>(cs[j]);
+            best_s = s;
+          }
+        }
+      }
+      if (best_gain > 0) {
+        const auto s = t.add_steiner(best_s, static_cast<std::int32_t>(p));
+        t.set_parent(bi, static_cast<std::int32_t>(s));
+        t.set_parent(bj, static_cast<std::int32_t>(s));
+        saved += best_gain;
+        changed = true;
+        break;
+      }
+    }
+  }
+  return saved;
+}
+
+// Degenerate geometry for the differential tests: Steiner nodes placed on
+// pins, either spliced above the pin (a zero-length parent edge) or hung
+// below it as a leaf.
+void add_coincident_steiners(RoutingTree& t, util::Rng& rng, int count) {
+  for (int k = 0; k < count; ++k) {
+    const std::size_t u = 1 + rng.index(t.num_pins() - 1);
+    if (rng.index(2) == 0) {
+      const auto s = t.add_steiner(t.node(u), t.parent(u));
+      t.set_parent(u, static_cast<std::int32_t>(s));
+    } else {
+      t.add_steiner(t.node(u), static_cast<std::int32_t>(u));
+    }
+  }
+}
+
+// Nets for the differential tests, cycling through the shapes that stress
+// tie-breaks: general position, tie-heavy 6 x 6 and 12 x 12 windows (many
+// duplicate pins and zero-length edges at high degree), clustered nets and
+// collinear pins.
+Net differential_net(util::Rng& rng, int it, std::size_t degree) {
+  switch (it % 6) {
+    case 0:
+      return testing::random_net(rng, degree, 1000);
+    case 1:
+      return testing::random_net(rng, degree, 6, /*allow_ties=*/true);
+    case 2:
+      return testing::random_net(rng, degree, 12, /*allow_ties=*/true);
+    case 3:
+      return netgen::clustered_net(rng, degree);
+    case 4:
+      return netgen::clustered_net(rng, degree, 40);
+    default: {
+      // Pins on one or two axis-parallel lines.
+      Net net;
+      const bool two = rng.index(2) == 0;
+      for (std::size_t i = 0; i < degree; ++i) {
+        const geom::Coord a = rng.uniform_int(0, 30);
+        const geom::Coord b = two && rng.index(2) == 0 ? 7 : 0;
+        net.pins.push_back(it % 12 < 6 ? Point{a, b} : Point{b, a});
+      }
+      return net;
+    }
+  }
+}
+
+TEST(Steinerize, SameMergesAsRescanReference) {
+  util::Rng rng(27);
+  int trees = 0;
+  Length total_saved = 0;
+  for (int it = 0; it < 72; ++it) {
+    const std::size_t degree = 3 + rng.index(62);  // 3..64
+    const Net net = differential_net(rng, it, degree);
+    std::vector<RoutingTree> inputs{RoutingTree::star(net), rsmt::rsmt(net),
+                                    rsma::rsma(net), rsmt::rsmt(net),
+                                    RoutingTree::star(net)};
+    scramble(inputs[3], rng, 16);
+    scramble(inputs[4], rng, 16);
+    add_coincident_steiners(inputs[4], rng, 6);
+    for (const RoutingTree& t0 : inputs) {
+      ASSERT_TRUE(t0.validate().empty()) << t0.validate();
+      RoutingTree got = t0;
+      RoutingTree want = t0;
+      const Length saved = tree::steinerize(got);
+      ASSERT_EQ(saved, reference_steinerize(want)) << "net " << it;
+      ASSERT_EQ(got.nodes(), want.nodes()) << "net " << it;
+      ASSERT_EQ(got.parents(), want.parents()) << "net " << it;
+      total_saved += saved;
+      ++trees;
+    }
+  }
+  EXPECT_EQ(trees, 360);
+  EXPECT_GT(total_saved, 0);
+}
+
 TEST(Steinerize, MergesSharedLPrefix) {
   // Source at origin, two sinks sharing a long common trunk: the star costs
   // 2*(10+1) = 22; a Steiner point at (10,0)... median(0,0 /10,1 /10,-1) is
@@ -220,8 +343,13 @@ TEST(EdgeSubstitution, RespectsModeConstraints) {
 TEST(SubtreeIntervals, MatchParentWalkOnEveryPair) {
   auto check = [](const RoutingTree& t) {
     tree::SubtreeIntervals sub;
-    sub.build(t, t.children());
+    sub.build(t);
     ASSERT_EQ(sub.order.size(), t.num_nodes());
+    const auto ch = t.children();
+    for (std::size_t v = 0; v < t.num_nodes(); ++v) {
+      const auto cs = sub.children(v);
+      ASSERT_EQ(std::vector<std::int32_t>(cs.begin(), cs.end()), ch[v]);
+    }
     for (std::size_t v = 0; v < t.num_nodes(); ++v)
       for (std::size_t x = 0; x < t.num_nodes(); ++x)
         ASSERT_EQ(sub.contains(v, x), t.in_subtree(x, v))
@@ -245,7 +373,7 @@ TEST(SubtreeIntervals, MatchParentWalkOnEveryPair) {
   f.add_steiner({6, 0}, 3);
   check(f);
   tree::SubtreeIntervals sub;
-  sub.build(f, f.children());
+  sub.build(f);
   EXPECT_TRUE(sub.contains(3, 5));
   EXPECT_FALSE(sub.contains(0, 5));
   EXPECT_FALSE(sub.contains(3, 2));
@@ -255,13 +383,16 @@ TEST(EdgeSubstitution, SameMovesAsParentWalkReference) {
   util::Rng rng(26);
   int trees = 0;
   int passes = 0;
-  for (int it = 0; it < 56; ++it) {
-    const std::size_t degree = 3 + rng.index(28);  // 3..30
-    const Net net = testing::random_net(rng, degree, it % 2 == 0 ? 1000 : 12,
-                                        /*allow_ties=*/it % 2 != 0);
+  for (int it = 0; it < 90; ++it) {
+    // Every fifth net reaches degrees 31..64; the rest stay at 3..30.
+    const std::size_t degree =
+        it % 5 == 4 ? 31 + rng.index(34) : 3 + rng.index(28);
+    const Net net = differential_net(rng, it, degree);
     std::vector<RoutingTree> inputs{RoutingTree::star(net), rsmt::rsmt(net),
-                                    rsma::rsma(net), rsmt::rsmt(net)};
-    scramble(inputs.back(), rng, 12);
+                                    rsma::rsma(net), rsmt::rsmt(net),
+                                    rsmt::rsmt(net)};
+    scramble(inputs[3], rng, 12);
+    add_coincident_steiners(inputs[4], rng, 8);
     for (const RoutingTree& t0 : inputs) {
       ASSERT_TRUE(t0.validate().empty()) << t0.validate();
       ++trees;
@@ -280,7 +411,7 @@ TEST(EdgeSubstitution, SameMovesAsParentWalkReference) {
       }
     }
   }
-  EXPECT_GE(trees, 200);
+  EXPECT_EQ(trees, 450);
   EXPECT_GT(passes, 3 * trees);
 }
 
