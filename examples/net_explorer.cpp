@@ -37,9 +37,10 @@ int main(int argc, char** argv) {
   const auto pd_trees =
       baselines::pd_sweep(net, baselines::default_alphas(), {.refine = true});
 
-  const auto salt_front = pareto::pareto_filter(tree::objectives(salt_trees));
-  const auto ysd_front = pareto::pareto_filter(tree::objectives(ysd_trees));
-  const auto pd_front = pareto::pareto_filter(tree::objectives(pd_trees));
+  using pareto::SolutionSet;
+  const auto salt_front = SolutionSet::of(tree::objectives(salt_trees));
+  const auto ysd_front = SolutionSet::of(tree::objectives(ysd_trees));
+  const auto pd_front = SolutionSet::of(tree::objectives(pd_trees));
 
   std::printf("net '%s' (degree %zu)\n\n", net.name.c_str(), net.degree());
   io::AsciiTable table({"Method", "|Pareto set|", "frontier pts found",

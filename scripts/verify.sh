@@ -16,7 +16,7 @@
 # perturbation must trip it), an ASan+UBSan pass over the tree kernels
 # (edge substitution's preorder intervals, the incremental reattach), the
 # exact RSMT's flat DP tables, the arena-backed DW solvers, the
-# SolutionSet kernels and the Lemma-1 prover's fraction-free integer
+# SolutionSet filter and the Lemma-1 prover's fraction-free integer
 # simplex (UBSan watches it for signed overflow; test_exactlp checks it
 # against the rational reference, test_properties runs that reference),
 # then a ThreadSanitizer pass over
@@ -35,6 +35,8 @@
 #                                # obsdiff / OBS=OFF builds)
 #   scripts/verify.sh --no-tsan  # skip the TSan pass
 #   scripts/verify.sh --no-asan  # skip the ASan pass
+#
+# Every mode ends by printing the tracked code size (scripts/loc.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -307,6 +309,8 @@ if [[ $quick -eq 1 ]]; then
   serve_smoke
   serve_obsdiff
   lut_storage_gate
+  echo "== code size: lines per directory (scripts/loc.sh) =="
+  scripts/loc.sh
   echo "verify: OK (quick)"
   exit 0
 fi
@@ -422,4 +426,6 @@ if [[ $run_tsan -eq 1 ]]; then
   )
 fi
 
+echo "== code size: lines per directory (scripts/loc.sh) =="
+scripts/loc.sh
 echo "verify: OK"

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "patlabor/geom/net.hpp"
-#include "patlabor/pareto/pareto_set.hpp"
+#include "patlabor/pareto/solution_set.hpp"
 
 namespace patlabor::eval {
 

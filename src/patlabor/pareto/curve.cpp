@@ -8,8 +8,7 @@ namespace patlabor::pareto {
 
 std::vector<CurvePoint> normalize(std::span<const Objective> frontier,
                                   double w_norm, double d_norm) {
-  ObjVec f(frontier.begin(), frontier.end());
-  f = pareto_filter(std::move(f));
+  const SolutionSet f = SolutionSet::of(frontier);
   std::vector<CurvePoint> out;
   out.reserve(f.size());
   for (const Objective& p : f)

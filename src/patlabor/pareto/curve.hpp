@@ -6,7 +6,7 @@
 #include <span>
 #include <vector>
 
-#include "patlabor/pareto/pareto_set.hpp"
+#include "patlabor/pareto/solution_set.hpp"
 
 namespace patlabor::pareto {
 

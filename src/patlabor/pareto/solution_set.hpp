@@ -1,4 +1,4 @@
-// SolutionSet: the first-class carrier of a Pareto frontier.
+// SolutionSet: the repository's one Pareto-set type.
 //
 // Invariant (the "staircase"): objectives are sorted by w strictly
 // ascending and d strictly descending — i.e. a nondominated antichain with
@@ -14,12 +14,10 @@
 // original candidate array, so parallel arrays (trees, labels) can be
 // gathered through take_payload() without re-sorting them.
 //
-// The three frontier operations of Eq. (1) exist as in-place kernels —
-// filter (Pareto(·)), shift (S + x), merge (S ⊕ S') — reusing
-// caller-provided FilterScratch buffers, so DP inner loops run without
-// per-call heap allocations.  The pure functions in pareto_set.hpp remain
-// as reference implementations (and are cross-checked against these
-// kernels by randomized property tests).
+// Pareto(·) has one kernel, filter_indices(), behind both of() and
+// select().  The other two operations of Eq. (1), S + x and S ⊕ S', run
+// inside the solvers that need them (dw/pareto_dw.cpp's L1 distance
+// transform and sum–max staircase merge, lut/param_dw.cpp), not here.
 #pragma once
 
 #include <algorithm>
@@ -32,26 +30,24 @@
 #include <utility>
 #include <vector>
 
-#include "patlabor/pareto/pareto_set.hpp"
+#include "patlabor/pareto/objective.hpp"
 
 namespace patlabor::pareto {
 
-/// Reusable buffers for the in-place kernels.  One instance per solver /
+using ObjVec = std::vector<Objective>;
+
+/// Reusable buffers for filter_indices().  One instance per solver /
 /// thread; contents are meaningless between calls but capacity persists,
 /// so steady-state filtering performs no heap allocations.
 struct FilterScratch {
   std::vector<std::uint32_t> order;  ///< candidate indices, sorted
   std::vector<std::uint32_t> kept;   ///< surviving indices, objective order
-  ObjVec tmp_objs;                   ///< gather buffer for filter()
-  std::vector<std::uint32_t> tmp_payload;
 };
 
 /// Allocation-free index form of Pareto(·): fills `scratch.kept` with the
 /// indices (into 0..n-1) of a maximal nondominated subset, ordered by
 /// objective, keeping the lowest index among duplicates.  `obj_at(i)` must
-/// return the i-th candidate objective.  Identical tie-breaking to
-/// pareto_indices(), so solvers migrated onto this kernel keep bit-exact
-/// survivor sets.
+/// return the i-th candidate objective.
 template <typename ObjAt>
 std::span<const std::uint32_t> filter_indices(std::size_t n, ObjAt&& obj_at,
                                               FilterScratch& scratch) {
@@ -80,9 +76,15 @@ class SolutionSet {
   SolutionSet() = default;
 
   /// Pareto-filters arbitrary points into a set (no payload).
-  static SolutionSet of(ObjVec points) {
+  static SolutionSet of(std::span<const Objective> points) {
+    FilterScratch scratch;
+    const auto kept = filter_indices(
+        points.size(),
+        [&](std::uint32_t i) -> const Objective& { return points[i]; },
+        scratch);
     SolutionSet s;
-    s.objs_ = pareto_filter(std::move(points));
+    s.objs_.reserve(kept.size());
+    for (std::uint32_t i : kept) s.objs_.push_back(points[i]);
     return s;
   }
 
@@ -139,68 +141,6 @@ class SolutionSet {
   bool has_payload() const { return !payload_.empty(); }
   void strip_payload() { payload_.clear(); }
 
-  // ---- mutation ----
-  void clear() {
-    objs_.clear();
-    payload_.clear();
-  }
-  void reserve(std::size_t n) { objs_.reserve(n); }
-
-  /// Appends without filtering; the caller re-establishes the invariant via
-  /// filter() (or appends in staircase order).
-  void append_raw(const Objective& obj) { objs_.push_back(obj); }
-  void append_raw(const Objective& obj, std::uint32_t tag) {
-    objs_.push_back(obj);
-    payload_.push_back(tag);
-  }
-
-  /// In-place S + x of Eq. (1): both coordinates shift by an edge length.
-  /// The staircase is translation-invariant, so no re-filter is needed.
-  void shift(Length x) {
-    for (Objective& o : objs_) {
-      o.w += x;
-      o.d += x;
-    }
-  }
-
-  /// In-place Pareto(·) of Eq. (1): drops dominated/duplicate points and
-  /// sorts survivors into staircase order, carrying payload along.  No
-  /// allocations once the scratch capacity has warmed up.
-  void filter(FilterScratch& scratch) {
-    const auto kept = filter_indices(
-        objs_.size(),
-        [&](std::uint32_t i) -> const Objective& { return objs_[i]; },
-        scratch);
-    scratch.tmp_objs.clear();
-    for (std::uint32_t i : kept) scratch.tmp_objs.push_back(objs_[i]);
-    objs_.swap(scratch.tmp_objs);
-    if (!payload_.empty()) {
-      scratch.tmp_payload.clear();
-      for (std::uint32_t i : kept) scratch.tmp_payload.push_back(payload_[i]);
-      payload_.swap(scratch.tmp_payload);
-    }
-  }
-
-  /// Convenience filter with a throwaway scratch (cold paths).
-  void filter() {
-    FilterScratch scratch;
-    filter(scratch);
-  }
-
-  /// S ⊕ S' of Eq. (1) into `out` (which must not alias a or b):
-  /// wirelengths add, delays take the max, then Pareto-filter.  Payload is
-  /// not propagated (a merged point has two parents).
-  static void merge(const SolutionSet& a, const SolutionSet& b,
-                    SolutionSet& out, FilterScratch& scratch) {
-    assert(&out != &a && &out != &b);
-    out.clear();
-    out.reserve(a.size() * b.size());
-    for (const Objective& pa : a.objs_)
-      for (const Objective& pb : b.objs_)
-        out.objs_.push_back(Objective{pa.w + pb.w, std::max(pa.d, pb.d)});
-    out.filter(scratch);
-  }
-
   /// Checks the staircase invariant (w strictly ascending, d strictly
   /// descending) and payload alignment.  O(n); used by asserts and tests.
   bool invariant_ok() const {
@@ -209,13 +149,6 @@ class SolutionSet {
       if (objs_[i].w <= objs_[i - 1].w || objs_[i].d >= objs_[i - 1].d)
         return false;
     return true;
-  }
-
-  /// Surrenders the objective storage (e.g. to feed a pure function that
-  /// takes ObjVec by value).
-  ObjVec release() {
-    payload_.clear();
-    return std::move(objs_);
   }
 
   friend bool operator==(const SolutionSet& a, const SolutionSet& b) {
@@ -254,5 +187,21 @@ std::vector<T> take_payload(SolutionSet& set, std::vector<T>&& items) {
   set.strip_payload();
   return out;
 }
+
+/// True when some point of the frontier weakly dominates s (i.e. the set
+/// "covers" s: it found a solution at least as good).
+bool covers(std::span<const Objective> frontier, const Objective& s);
+
+/// Number of points of `target` that are covered by `found` (used for the
+/// Table III / IV optimality accounting: a method "finds" a frontier point
+/// if it produces a solution weakly dominating it; for target == true
+/// frontier this reduces to exact matches).
+std::size_t count_covered(std::span<const Objective> target,
+                          std::span<const Objective> found);
+
+/// Hypervolume (area dominated within the rectangle bounded by ref) of any
+/// point set — unsorted, dominated and duplicate points allowed; points
+/// outside ref contribute their clipped area.  Larger is better.
+double hypervolume(std::span<const Objective> points, const Objective& ref);
 
 }  // namespace patlabor::pareto

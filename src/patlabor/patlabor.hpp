@@ -47,7 +47,7 @@
 #include "patlabor/obs/report.hpp"
 #include "patlabor/par/pool.hpp"
 #include "patlabor/pareto/curve.hpp"
-#include "patlabor/pareto/pareto_set.hpp"
+#include "patlabor/pareto/solution_set.hpp"
 #include "patlabor/rsma/rsma.hpp"
 #include "patlabor/rsmt/mst.hpp"
 #include "patlabor/rsmt/rsmt.hpp"

@@ -31,7 +31,7 @@ using pareto::ObjVec;
 // objectives, and keep the Pareto frontier.  Exponential, but exact — the
 // gold standard the DP must match on tiny nets.
 // ---------------------------------------------------------------------------
-ObjVec brute_force_frontier(const Net& net) {
+pareto::SolutionSet brute_force_frontier(const Net& net) {
   const std::size_t n = net.degree();
   const geom::HananGrid grid(net.pins);
   std::vector<Point> steiner_candidates;
@@ -104,7 +104,7 @@ ObjVec brute_force_frontier(const Net& net) {
     }
   };
   recurse(recurse, 0);
-  return pareto::pareto_filter(std::move(all));
+  return pareto::SolutionSet::of(all);
 }
 
 // ---------------------------------------------------------------------------
@@ -342,7 +342,7 @@ TEST_P(DwVsBruteForce, FrontierMatchesExhaustiveEnumeration) {
   util::Rng rng(static_cast<std::uint64_t>(500 + GetParam()));
   const std::size_t degree = 3 + rng.index(2);  // 3 or 4
   const Net net = testing::random_net(rng, degree, 60);
-  const ObjVec expected = brute_force_frontier(net);
+  const auto expected = brute_force_frontier(net);
   const auto got = dw::pareto_dw(net);
   EXPECT_EQ(got.frontier, expected)
       << "degree " << degree << " seed " << GetParam();
@@ -389,7 +389,7 @@ TEST_P(DwProperties, FrontierEndpointsAndTrees) {
   const Net net = testing::random_net(rng, degree);
   const auto r = dw::pareto_dw(net);
   ASSERT_FALSE(r.frontier.empty());
-  EXPECT_TRUE(pareto::is_pareto_curve(r.frontier));
+  EXPECT_TRUE(r.frontier.invariant_ok());
 
   // Leftmost point: minimum wirelength == exact RSMT.
   EXPECT_EQ(r.frontier.front().w, rsmt::exact_rsmt(net).wirelength());

@@ -43,7 +43,7 @@ TEST_F(IntegrationSuite, RouteAWholeDesign) {
   for (const Net& net : nets) {
     const auto r = core::patlabor(net, opt);
     ASSERT_FALSE(r.frontier.empty()) << net.name;
-    EXPECT_TRUE(pareto::is_pareto_curve(r.frontier)) << net.name;
+    EXPECT_TRUE(r.frontier.invariant_ok()) << net.name;
     const auto star_d = rsma::star_delay(net);
     for (std::size_t i = 0; i < r.frontier.size(); ++i) {
       EXPECT_TRUE(r.trees[i].validate().empty()) << net.name;
@@ -64,12 +64,12 @@ TEST_F(IntegrationSuite, BaselinesNeverBeatTheExactFrontier) {
     opt.table = table_;
     const auto exact = core::patlabor(net, opt).frontier;
 
-    std::vector<pareto::ObjVec> all;
-    all.push_back(pareto::pareto_filter(
+    std::vector<pareto::SolutionSet> all;
+    all.push_back(pareto::SolutionSet::of(
         tree::objectives(baselines::salt_sweep(net, baselines::default_epsilons()))));
-    all.push_back(pareto::pareto_filter(
+    all.push_back(pareto::SolutionSet::of(
         tree::objectives(baselines::ysd_sweep(net, baselines::default_betas()))));
-    all.push_back(pareto::pareto_filter(tree::objectives(
+    all.push_back(pareto::SolutionSet::of(tree::objectives(
         baselines::pd_sweep(net, baselines::default_alphas(),
                             {.refine = true}))));
     for (const auto& found : all)

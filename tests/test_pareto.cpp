@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "patlabor/pareto/curve.hpp"
-#include "patlabor/pareto/pareto_set.hpp"
 #include "patlabor/pareto/solution_set.hpp"
 #include "patlabor/util/rng.hpp"
 
@@ -23,15 +22,15 @@ TEST(Dominance, Definition) {
 }
 
 TEST(ParetoFilter, RemovesDominatedAndDuplicates) {
-  const ObjVec f = pareto::pareto_filter(
-      {{5, 1}, {3, 3}, {4, 2}, {3, 3}, {6, 6}, {1, 9}, {4, 9}});
+  const auto f = pareto::SolutionSet::of(
+      ObjVec{{5, 1}, {3, 3}, {4, 2}, {3, 3}, {6, 6}, {1, 9}, {4, 9}});
   const ObjVec expect{{1, 9}, {3, 3}, {4, 2}, {5, 1}};
   EXPECT_EQ(f, expect);
 }
 
 TEST(ParetoFilter, EmptyAndSingleton) {
-  EXPECT_TRUE(pareto::pareto_filter({}).empty());
-  EXPECT_EQ(pareto::pareto_filter({{7, 7}}), (ObjVec{{7, 7}}));
+  EXPECT_TRUE(pareto::SolutionSet::of({}).empty());
+  EXPECT_EQ(pareto::SolutionSet::of(ObjVec{{7, 7}}), (ObjVec{{7, 7}}));
 }
 
 // Property sweep: filter output is an antichain, a subset of the input, and
@@ -45,13 +44,13 @@ TEST_P(ParetoFilterProperty, Invariants) {
   const int n = 1 + static_cast<int>(rng.index(60));
   for (int i = 0; i < n; ++i)
     pts.push_back({rng.uniform_int(0, 30), rng.uniform_int(0, 30)});
-  const ObjVec f = pareto::pareto_filter(pts);
+  const auto f = pareto::SolutionSet::of(pts);
 
-  EXPECT_TRUE(pareto::is_pareto_curve(f));
+  EXPECT_TRUE(f.invariant_ok());
   for (const Objective& p : f)
     EXPECT_NE(std::find(pts.begin(), pts.end(), p), pts.end());
   for (const Objective& p : pts) EXPECT_TRUE(pareto::covers(f, p));
-  EXPECT_EQ(pareto::pareto_filter(f), f);
+  EXPECT_EQ(pareto::SolutionSet::of(f), f);
   // Sorted ascending in w, strictly descending in d.
   for (std::size_t i = 1; i < f.size(); ++i) {
     EXPECT_LT(f[i - 1].w, f[i].w);
@@ -61,35 +60,6 @@ TEST_P(ParetoFilterProperty, Invariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParetoFilterProperty,
                          ::testing::Range(0, 25));
-
-TEST(ParetoIndices, KeepsPayloadAlignment) {
-  const ObjVec pts{{5, 1}, {3, 3}, {3, 3}, {9, 9}};
-  const auto idx = pareto::pareto_indices(pts);
-  ASSERT_EQ(idx.size(), 2u);
-  EXPECT_EQ(idx[0], 1u);  // first duplicate of (3,3) kept
-  EXPECT_EQ(idx[1], 0u);
-}
-
-TEST(Shift, AddsToBothObjectives) {
-  const ObjVec s{{1, 2}, {3, 1}};
-  const ObjVec out = pareto::shifted(s, 10);
-  EXPECT_EQ(out, (ObjVec{{11, 12}, {13, 11}}));
-}
-
-TEST(ParetoSum, MatchesDefinition) {
-  // ⊕: wirelengths add, delays take max, then filter.
-  const ObjVec a{{1, 5}, {4, 1}};
-  const ObjVec b{{2, 3}, {3, 2}};
-  const ObjVec s = pareto::pareto_sum(a, b);
-  // Candidates: (3,5) (4,5) (6,3) (7,2)
-  EXPECT_EQ(s, (ObjVec{{3, 5}, {6, 3}, {7, 2}}));
-}
-
-TEST(ParetoSum, IdentityWithZeroElement) {
-  const ObjVec a{{3, 7}, {8, 2}};
-  const ObjVec zero{{0, 0}};
-  EXPECT_EQ(pareto::pareto_sum(a, zero), pareto::pareto_filter(a));
-}
 
 TEST(CountCovered, TableIVAccounting) {
   const ObjVec frontier{{1, 9}, {3, 3}, {5, 1}};
@@ -123,9 +93,20 @@ TEST(Hypervolume, MonotoneUnderImprovement) {
   }
 }
 
-TEST(ParetoUnion, MergesSets) {
-  const std::vector<ObjVec> sets{{{1, 5}, {4, 2}}, {{2, 3}, {9, 9}}};
-  EXPECT_EQ(pareto::pareto_union(sets), (ObjVec{{1, 5}, {2, 3}, {4, 2}}));
+TEST(Hypervolume, RawInputMatchesItsFrontier) {
+  // Unsorted, with dominated points, duplicates and a point past ref: the
+  // value is that of the input's Pareto frontier, to the bit.
+  util::Rng rng(6);
+  for (int it = 0; it < 50; ++it) {
+    ObjVec pts;
+    for (int i = 0; i < 20; ++i)
+      pts.push_back({rng.uniform_int(1, 15), rng.uniform_int(1, 15)});
+    pts.push_back(pts.front());
+    pts.push_back({20, 0});
+    const Objective ref{16, 16};
+    EXPECT_EQ(pareto::hypervolume(pts, ref),
+              pareto::hypervolume(pareto::SolutionSet::of(pts), ref));
+  }
 }
 
 TEST(Curve, NormalizeAndStaircase) {
@@ -159,22 +140,29 @@ TEST(Curve, Linspace) {
   EXPECT_DOUBLE_EQ(g[4], 1.0);
 }
 
-// ---- SolutionSet: the in-place kernels vs the pure reference functions ----
+// ---- SolutionSet vs an O(S^2) reference filter ----
 
-/// O(S^2) reference filter, straight from the definition: keep a point iff
-/// nothing dominates it and it is the first occurrence of its value; then
-/// sort by objective.
-ObjVec brute_force_filter(const ObjVec& pts) {
-  ObjVec kept;
+/// O(S^2) reference filter, straight from the definition: keep index i iff
+/// nothing dominates pts[i] and it is the first occurrence of its value;
+/// then sort by objective.
+std::vector<std::uint32_t> brute_force_survivors(const ObjVec& pts) {
+  std::vector<std::uint32_t> kept;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     bool drop = false;
     for (std::size_t j = 0; j < pts.size() && !drop; ++j) {
       if (pareto::dominates(pts[j], pts[i])) drop = true;
       if (j < i && pts[j] == pts[i]) drop = true;  // duplicate: keep first
     }
-    if (!drop) kept.push_back(pts[i]);
+    if (!drop) kept.push_back(static_cast<std::uint32_t>(i));
   }
-  std::sort(kept.begin(), kept.end());
+  std::sort(kept.begin(), kept.end(),
+            [&](std::uint32_t a, std::uint32_t b) { return pts[a] < pts[b]; });
+  return kept;
+}
+
+ObjVec brute_force_filter(const ObjVec& pts) {
+  ObjVec kept;
+  for (std::uint32_t i : brute_force_survivors(pts)) kept.push_back(pts[i]);
   return kept;
 }
 
@@ -189,65 +177,44 @@ ObjVec random_points(util::Rng& rng, int max_n, pareto::Length hi) {
 class SolutionSetProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(SolutionSetProperty, FilterIndicesMatchesParetoIndices) {
+  // select()'s payload is filter_indices()' output: the survivors' input
+  // indices, in objective order, the first index kept among duplicates.
   util::Rng rng(static_cast<std::uint64_t>(900 + GetParam()));
-  const ObjVec pts = random_points(rng, 80, 25);  // small range: duplicates
-  const auto ref = pareto::pareto_indices(pts);
-  pareto::FilterScratch scratch;
-  const auto got = pareto::filter_indices(
-      pts.size(), [&](std::uint32_t i) -> const Objective& { return pts[i]; },
-      scratch);
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t k = 0; k < ref.size(); ++k)
-    EXPECT_EQ(static_cast<std::size_t>(got[k]), ref[k]) << "position " << k;
+  const ObjVec once = random_points(rng, 80, 25);
+  ObjVec pts = once;  // every point twice: each survivor has a duplicate
+  pts.insert(pts.end(), once.begin(), once.end());
+  const auto set = pareto::SolutionSet::select(pts);
+  EXPECT_EQ(set, brute_force_filter(pts));
+  EXPECT_TRUE(set.invariant_ok());
+  const auto ref = brute_force_survivors(pts);
+  ASSERT_EQ(set.payload().size(), ref.size());
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    EXPECT_EQ(set.payload()[k], ref[k]) << "position " << k;
+    EXPECT_EQ(pts[set.payload()[k]], set[k]) << "position " << k;
+  }
 }
 
 TEST_P(SolutionSetProperty, OfAndFilterMatchBruteForce) {
   util::Rng rng(static_cast<std::uint64_t>(1000 + GetParam()));
   const ObjVec pts = random_points(rng, 60, 30);
   const ObjVec expect = brute_force_filter(pts);
-  EXPECT_EQ(pareto::pareto_filter(pts), expect);
 
   const auto set = pareto::SolutionSet::of(pts);
   EXPECT_EQ(set, expect);
   EXPECT_TRUE(set.invariant_ok());
+  EXPECT_EQ(pareto::SolutionSet::of(set), set);  // idempotent
 
-  // In-place filter with reused scratch reaches the same staircase, and is
-  // idempotent.
-  pareto::SolutionSet raw;
+  // The index kernel reaches the same staircase with a reused scratch.
   pareto::FilterScratch scratch;
-  for (const Objective& p : pts) raw.append_raw(p);
-  raw.filter(scratch);
-  EXPECT_EQ(raw, expect);
-  raw.filter(scratch);
-  EXPECT_EQ(raw, expect);
-}
-
-TEST_P(SolutionSetProperty, ShiftMatchesShifted) {
-  util::Rng rng(static_cast<std::uint64_t>(1100 + GetParam()));
-  const ObjVec pts = random_points(rng, 40, 50);
-  const pareto::Length x = rng.uniform_int(0, 20);
-  auto set = pareto::SolutionSet::of(pts);
-  const ObjVec expect = pareto::shifted(set.objectives(), x);
-  set.shift(x);
-  EXPECT_EQ(set, expect);
-  EXPECT_TRUE(set.invariant_ok());  // translation preserves the staircase
-}
-
-TEST_P(SolutionSetProperty, MergeMatchesParetoSumAndBruteForce) {
-  util::Rng rng(static_cast<std::uint64_t>(1200 + GetParam()));
-  const auto a = pareto::SolutionSet::of(random_points(rng, 25, 30));
-  const auto b = pareto::SolutionSet::of(random_points(rng, 25, 30));
-  pareto::SolutionSet out;
-  pareto::FilterScratch scratch;
-  pareto::SolutionSet::merge(a, b, out, scratch);
-  EXPECT_EQ(out, pareto::pareto_sum(a, b));
-  EXPECT_TRUE(out.invariant_ok());
-
-  ObjVec cross;
-  for (const Objective& pa : a)
-    for (const Objective& pb : b)
-      cross.push_back({pa.w + pb.w, std::max(pa.d, pb.d)});
-  EXPECT_EQ(out, brute_force_filter(cross));
+  for (int pass = 0; pass < 2; ++pass) {
+    ObjVec kept;
+    for (std::uint32_t i : pareto::filter_indices(
+             pts.size(),
+             [&](std::uint32_t k) -> const Objective& { return pts[k]; },
+             scratch))
+      kept.push_back(pts[i]);
+    EXPECT_EQ(kept, expect) << "pass " << pass;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolutionSetProperty, ::testing::Range(0, 25));
@@ -272,7 +239,7 @@ TEST(SolutionSet, SelectRecordsPayloadIndices) {
 }
 
 TEST(SolutionSet, TakePayloadWithoutPayloadIsIdentity) {
-  auto set = pareto::SolutionSet::of({{1, 2}, {3, 1}});
+  auto set = pareto::SolutionSet::of(ObjVec{{1, 2}, {3, 1}});
   std::vector<int> items{10, 20};
   EXPECT_EQ(pareto::take_payload(set, std::move(items)),
             (std::vector<int>{10, 20}));
@@ -284,13 +251,10 @@ TEST(SolutionSet, AdoptStaircaseAndInvariant) {
   EXPECT_EQ(set.front(), (Objective{1, 9}));
   EXPECT_EQ(set.back(), (Objective{7, 2}));
 
-  pareto::SolutionSet bad;
-  bad.append_raw({1, 1});
-  bad.append_raw({2, 2});  // d not descending: dominated point
-  EXPECT_FALSE(bad.invariant_ok());
-  bad.filter();
-  EXPECT_TRUE(bad.invariant_ok());
-  EXPECT_EQ(bad, (ObjVec{{1, 1}}));
+  // (2,2) is dominated: of() drops it, so every set satisfies the invariant.
+  const auto filtered = pareto::SolutionSet::of(ObjVec{{1, 1}, {2, 2}});
+  EXPECT_TRUE(filtered.invariant_ok());
+  EXPECT_EQ(filtered, (ObjVec{{1, 1}}));
 }
 
 }  // namespace
