@@ -2,12 +2,11 @@
 # Repo verification: tier-1 build + full ctest, a repeat-under-load pass
 # over the CLI-trace / obs / LUT-format tests (exit-time lifetime bugs
 # surface only under parallel load), the obsdiff regression gate (two-run
-# self-compare + perturbed-seed failure path, under PATLABOR_OBS ON and
-# OFF builds; the OFF build also runs the obs, event, CLI-trace and serve
-# tests), the metric-catalog lint (every registered metric name documented
-# in DESIGN.md §6.2), the LUT storage gates (routing through a mapped table
-# byte-identical to routing without one, kill-and-resume lutgen hash
-# match, the bench_lut_load page-sharing bar, two concurrent daemons on one
+# self-compare + perturbed-seed failure path), the metric-catalog lint
+# (every registered metric name documented in DESIGN.md §6.2), the LUT
+# storage gates (routing through a mapped table byte-identical to
+# routing without one, kill-and-resume lutgen hash match, the
+# bench_lut_load page-sharing bar, two concurrent daemons on one
 # mapped table), the daemon smoke gate (patlabord serving two concurrent
 # clients whose CSVs must be byte-identical to a direct patlabor_cli
 # route, nonzero serve.* metrics, the stats wire frame, a SIGQUIT
@@ -32,7 +31,7 @@
 #   scripts/verify.sh --quick    # tier-1 build + ctest + the daemon smoke,
 #                                # obsdiff-over-daemon and LUT storage gates
 #                                # (no sanitizer passes, no CLI-level
-#                                # obsdiff / OBS=OFF builds)
+#                                # obsdiff gate)
 #   scripts/verify.sh --no-tsan  # skip the TSan pass
 #   scripts/verify.sh --no-asan  # skip the ASan pass
 #
@@ -329,7 +328,7 @@ echo "== lut storage bench: open cost + cross-process page sharing =="
 
 lut_daemon_share_gate
 
-echo "== obsdiff gate: self-compare + perturbed seed (PATLABOR_OBS=ON) =="
+echo "== obsdiff gate: self-compare + perturbed seed =="
 (
   cd build
   ./tools/patlabor_cli gen uniform 12 8 obsdiff_nets.nets 7 > /dev/null
@@ -352,34 +351,6 @@ echo "== obsdiff gate: self-compare + perturbed seed (PATLABOR_OBS=ON) =="
     exit 1
   fi
   rm -f obsdiff_nets.nets obsdiff_perturbed.nets obsdiff_{a,b,c}.jsonl
-)
-
-echo "== PATLABOR_OBS=OFF: no-op stubs, telemetry degrades gracefully =="
-cmake -B build-noobs -S . -G Ninja -DPATLABOR_OBS=OFF
-cmake --build build-noobs -j \
-  --target patlabor_cli patlabor_obsdiff test_obs test_metrics test_events \
-  test_cli_trace test_serve
-(
-  cd build-noobs
-  ./tests/test_obs
-  ./tests/test_metrics
-  ./tests/test_events
-  ./tests/test_serve
-  ./tests/test_cli_trace ./tools/patlabor_cli ./tools/patlabor_obsdiff
-  # --events still writes a manifest, but no net records: obsdiff must
-  # report the runs as incomparable (exit 3), not crash or pass.
-  ./tools/patlabor_cli gen uniform 4 6 obsdiff_nets.nets 7 > /dev/null
-  ./tools/patlabor_cli route obsdiff_nets.nets \
-    --events obsdiff_a.jsonl > /dev/null
-  ./tools/patlabor_cli route obsdiff_nets.nets \
-    --events obsdiff_b.jsonl > /dev/null
-  rc=0
-  ./tools/patlabor_obsdiff --quiet obsdiff_a.jsonl obsdiff_b.jsonl || rc=$?
-  if [[ $rc -ne 3 ]]; then
-    echo "obsdiff: expected exit 3 on manifest-only files, got $rc"
-    exit 1
-  fi
-  rm -f obsdiff_nets.nets obsdiff_{a,b}.jsonl
 )
 
 if [[ $run_asan -eq 1 ]]; then

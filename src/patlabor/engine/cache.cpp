@@ -1,7 +1,9 @@
 #include "patlabor/engine/cache.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <iterator>
+#include <string_view>
 #include <utility>
 
 #include "patlabor/obs/obs.hpp"
@@ -18,13 +20,24 @@ std::size_t round_up_pow2(std::size_t v) {
 
 }  // namespace
 
+bool cache_is_enabled(const CacheOptions& options) {
+  if (options.capacity == 0) return false;
+  if (options.enabled.has_value()) return *options.enabled;
+  const char* v = std::getenv("PATLABOR_CACHE");
+  return v == nullptr || std::string_view(v) != "0";
+}
+
 FrontierCache::FrontierCache(std::size_t capacity, std::size_t shards)
     : capacity_(capacity) {
-  const std::size_t n = round_up_pow2(std::max<std::size_t>(shards, 1));
+  // No more stripes than entries, and the remainder handed out one entry
+  // per stripe, so the stripe limits sum to exactly `capacity`.
+  std::size_t n = round_up_pow2(std::max<std::size_t>(shards, 1));
+  while (n > 1 && n > capacity_) n >>= 1;
   shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
+  for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-  per_shard_ = std::max<std::size_t>(1, (capacity_ + n - 1) / n);
+    shards_.back()->limit = capacity_ / n + (i < capacity_ % n ? 1 : 0);
+  }
 }
 
 FrontierCache::Shard& FrontierCache::shard_of(std::uint64_t key) {
@@ -72,7 +85,7 @@ void FrontierCache::insert(std::uint64_t key, CacheEntry entry) {
       sh.lru.emplace_front(key, std::move(entry));
       sh.index.emplace(key, sh.lru.begin());
       added = true;
-      while (sh.lru.size() > per_shard_) {
+      while (sh.lru.size() > sh.limit) {
         sh.index.erase(sh.lru.back().first);
         evicted.splice(evicted.end(), sh.lru, std::prev(sh.lru.end()));
       }

@@ -38,15 +38,21 @@ namespace patlabor::engine {
 struct CacheOptions {
   /// Maximum number of cached nets across all shards (0 disables caching).
   std::size_t capacity = 1 << 13;
-  /// Number of mutex stripes; rounded up to a power of two.
+  /// Number of mutex stripes; rounded up to a power of two, then halved
+  /// while it exceeds `capacity`.
   std::size_t shards = 16;
   /// Tri-state enable: unset defers to the PATLABOR_CACHE environment
   /// variable ("0" disables, anything else — including unset — enables).
   std::optional<bool> enabled;
 };
 
+/// Whether a cache configured by `options` is used: never at capacity 0,
+/// else `enabled` when set, else the PATLABOR_CACHE environment variable.
+/// The engine, the CLI and the daemon's manifest all ask this one rule.
+bool cache_is_enabled(const CacheOptions& options);
+
 /// Per-stripe counters: population, hit/miss/eviction skew, and the
-/// stripe's lock-wait totals (all-zero lock stats under PATLABOR_OBS=OFF).
+/// stripe's lock-wait totals (all-zero lock stats while recording is off).
 struct ShardStats {
   std::size_t entries = 0;
   std::uint64_t hits = 0;
@@ -104,6 +110,7 @@ class FrontierCache {
     obs::TimedMutex mu{"engine.cache.lock"};
     Lru lru;
     std::unordered_map<std::uint64_t, Lru::iterator> index;
+    std::size_t limit = 0;  ///< this stripe's share of the capacity
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
@@ -112,7 +119,6 @@ class FrontierCache {
   Shard& shard_of(std::uint64_t key);
 
   std::size_t capacity_;
-  std::size_t per_shard_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Approximate live population, mirrored into the engine.cache.entries
   /// gauge for the metrics exposition layer.

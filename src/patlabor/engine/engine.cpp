@@ -1,7 +1,6 @@
 #include "patlabor/engine/engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -16,11 +15,6 @@
 namespace patlabor::engine {
 
 namespace {
-
-bool cache_enabled_from_env() {
-  const char* v = std::getenv("PATLABOR_CACHE");
-  return v == nullptr || std::string_view(v) != "0";
-}
 
 /// Maps canonical-frame trees back into the original frame through the
 /// inverse isometry.  from_edges re-interns the nodes against the original
@@ -51,8 +45,7 @@ Engine::Engine(EngineOptions options)
       cache_(options_.cache.capacity, options_.cache.shards) {
   if (options_.jobs != 0)
     private_pool_ = std::make_unique<par::ThreadPool>(options_.jobs);
-  cache_enabled_ = options_.cache.enabled.value_or(cache_enabled_from_env()) &&
-                   options_.cache.capacity > 0;
+  cache_enabled_ = cache_is_enabled(options_.cache);
 }
 
 void Engine::adopt_table(lut::LookupTable table) {
@@ -87,12 +80,6 @@ core::PatLaborOptions Engine::patlabor_options(
   opt.refine = options_.refine;
   opt.pool = task_pool;
   return opt;
-}
-
-obs::EventSink* Engine::event_sink() const {
-  // obs::compiled_in() is constexpr: under PATLABOR_OBS=OFF this folds to
-  // nullptr and every event-filling branch below compiles away.
-  return obs::compiled_in() ? options_.events : nullptr;
 }
 
 RouteResponse Engine::route_patlabor(const geom::Net& net,
@@ -211,7 +198,7 @@ RouteResponse Engine::route_impl(const geom::Net& net,
 
 RouteResponse Engine::route(const geom::Net& net,
                             const RouteRequest& request) const {
-  obs::EventSink* sink = event_sink();
+  obs::EventSink* sink = options_.events;
   if (sink == nullptr) return route_impl(net, request, nullptr, pool());
   obs::NetEvent event;
   RouteResponse r = route_impl(net, request, &event, pool());
@@ -229,8 +216,7 @@ std::vector<RouteResponse> Engine::route_batch_impl(
   // worker (inline_pool), so workers never block on nested batches and a
   // batch of N nets is exactly N scheduler tasks.
   par::ThreadPool& nested = par::inline_pool();
-  if (!obs::compiled_in()) events_out = nullptr;
-  obs::EventSink* sink = events_out != nullptr ? nullptr : event_sink();
+  obs::EventSink* sink = events_out != nullptr ? nullptr : options_.events;
   if (events_out == nullptr && sink == nullptr)
     return par::parallel_transform(
         nets.size(),

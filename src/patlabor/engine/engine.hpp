@@ -75,7 +75,7 @@ struct EngineOptions {
   /// emits one JSONL record per routed net — regime, cache behaviour,
   /// frontier quality, per-net timing.  Not owned; must outlive the
   /// engine.  route_batch flushes events in net order (deterministic
-  /// layout for any jobs value); compiled out under PATLABOR_OBS=OFF.
+  /// layout for any jobs value).
   obs::EventSink* events = nullptr;
 };
 
@@ -139,8 +139,7 @@ class Engine {
   /// emitting them: `events_out` comes back sized nets.size(), indexed by
   /// batch position, ready for the caller to complete (the daemon stamps
   /// service-lifecycle fields) and emit itself.  EngineOptions::events is
-  /// not consulted — nothing is emitted here.  Under PATLABOR_OBS=OFF the
-  /// vector comes back empty and no event work is done.
+  /// not consulted — nothing is emitted here.
   std::vector<RouteResponse> route_batch_collect(
       std::span<const geom::Net> nets, std::span<const RouteRequest> requests,
       std::vector<obs::NetEvent>& events_out) const;
@@ -169,8 +168,7 @@ class Engine {
   /// The one batch loop behind route_batch and route_batch_collect;
   /// `request_at(i)` yields the i-th net's request (uniform or per-net).
   /// Events stream to the configured sink, or, when `events_out` is given,
-  /// fill it instead (resized to nets.size(); untouched under
-  /// PATLABOR_OBS=OFF).
+  /// fill it instead (resized to nets.size()).
   template <typename RequestAt>
   std::vector<RouteResponse> route_batch_impl(
       std::span<const geom::Net> nets, RequestAt&& request_at,
@@ -179,9 +177,6 @@ class Engine {
                                par::ThreadPool* task_pool) const;
   core::PatLaborOptions patlabor_options(par::ThreadPool* task_pool) const;
   const lut::LookupTable* table() const;
-  /// The configured event sink, or nullptr when events are off (always
-  /// nullptr — folded away — in PATLABOR_OBS=OFF builds).
-  obs::EventSink* event_sink() const;
 
   EngineOptions options_;
   std::optional<lut::LookupTable> owned_table_;

@@ -134,7 +134,9 @@ std::string build_git_sha() {
 }
 
 std::string build_flags() {
-  std::string flags = compiled_in() ? "obs=on" : "obs=off";
+  // Fixed text: instrumentation is always built in, and existing event
+  // files and obsdiff joins carry "obs=on".
+  std::string flags = "obs=on";
 #ifdef PATLABOR_BUILD_TYPE
   flags += ",type=";
   flags += PATLABOR_BUILD_TYPE;

@@ -1,11 +1,7 @@
 // Observability umbrella: instrumentation macros over stats.hpp/trace.hpp.
 //
-// Two gates, both off-by-default at runtime:
-//   * compile time — the PATLABOR_OBS CMake option (ON by default) defines
-//     PATLABOR_OBS=1; without it every macro below expands to nothing and
-//     instrumented code is byte-identical to uninstrumented code;
-//   * run time — obs::set_enabled(true) (one relaxed atomic load per site
-//     when compiled in but disabled).
+// One gate, off by default: obs::set_enabled(true).  While it is off every
+// site below costs one relaxed atomic load.
 //
 // Conventions (see DESIGN.md "Observability"):
 //   * counters / histograms: dotted lowercase "subsystem.metric"
@@ -18,20 +14,13 @@
 #include "patlabor/obs/stats.hpp"
 #include "patlabor/obs/trace.hpp"
 
-#if defined(PATLABOR_OBS) && PATLABOR_OBS
-#define PATLABOR_OBS_ENABLED 1
-#else
-#define PATLABOR_OBS_ENABLED 0
-#endif
-
 namespace patlabor::obs {
 
-/// True when instrumentation was compiled in (PATLABOR_OBS build option).
-constexpr bool compiled_in() { return PATLABOR_OBS_ENABLED != 0; }
+/// Always true: instrumentation is always compiled in.  Kept because the
+/// benchmark's context line still prints it.
+constexpr bool compiled_in() { return true; }
 
 }  // namespace patlabor::obs
-
-#if PATLABOR_OBS_ENABLED
 
 #define PL_OBS_CONCAT_(a, b) a##b
 #define PL_OBS_CONCAT(a, b) PL_OBS_CONCAT_(a, b)
@@ -69,20 +58,3 @@ constexpr bool compiled_in() { return PATLABOR_OBS_ENABLED != 0; }
       pl_obs_g.set(static_cast<std::int64_t>(v));                 \
     }                                                             \
   } while (0)
-
-#else
-
-#define PL_SPAN(name) \
-  do {                \
-  } while (0)
-#define PL_COUNT(name, n) \
-  do {                    \
-  } while (0)
-#define PL_HIST(name, v) \
-  do {                   \
-  } while (0)
-#define PL_GAUGE_SET(name, v) \
-  do {                        \
-  } while (0)
-
-#endif  // PATLABOR_OBS_ENABLED

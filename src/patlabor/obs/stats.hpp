@@ -2,8 +2,7 @@
 // histograms with thread-safe (lock-free) increments.
 //
 // Instrumentation sites use the PL_COUNT / PL_HIST macros from obs.hpp,
-// which compile to nothing when the PATLABOR_OBS build option is off and
-// check the runtime enable flag (obs::enabled()) otherwise.  Handles
+// which check the runtime enable flag (obs::enabled()).  Handles
 // returned by counter()/histogram() have stable addresses for the process
 // lifetime, so sites may cache them in function-local statics.
 #pragma once

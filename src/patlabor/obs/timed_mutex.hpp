@@ -8,9 +8,6 @@
 // near-zero next to any critical section worth instrumenting.  Only the
 // contended path reads the clock (twice) and touches the wait counters.
 // With the runtime switch off, lock() degenerates to the plain mutex.
-// Under PATLABOR_OBS=OFF the class *is* a plain std::mutex plus inert
-// zero-returning accessors: no counters, no branches, byte-identical
-// locking behaviour.
 //
 // An optional `family` name mirrors contended waits into process-wide
 // counters (`<family>.wait_us`, `<family>.contended`) so the metrics
@@ -27,8 +24,8 @@
 
 namespace patlabor::obs {
 
-/// Point-in-time counters of one TimedMutex (all zero when instrumentation
-/// is compiled out or was disabled at runtime).
+/// Point-in-time counters of one TimedMutex (all zero while recording is
+/// disabled at runtime).
 struct LockStats {
   std::uint64_t acquisitions = 0;  ///< lock() calls observed while enabled
   std::uint64_t contentions = 0;   ///< acquisitions that had to block
@@ -41,8 +38,6 @@ struct LockStats {
     return *this;
   }
 };
-
-#if PATLABOR_OBS_ENABLED
 
 class TimedMutex {
  public:
@@ -107,27 +102,5 @@ class TimedMutex {
   Counter* wait_counter_ = nullptr;
   Counter* contended_counter_ = nullptr;
 };
-
-#else  // !PATLABOR_OBS_ENABLED
-
-class TimedMutex {
- public:
-  TimedMutex() = default;
-  explicit TimedMutex(const char*) {}
-
-  TimedMutex(const TimedMutex&) = delete;
-  TimedMutex& operator=(const TimedMutex&) = delete;
-
-  void lock() { mu_.lock(); }
-  bool try_lock() { return mu_.try_lock(); }
-  void unlock() { mu_.unlock(); }
-
-  LockStats stats() const { return {}; }
-
- private:
-  std::mutex mu_;
-};
-
-#endif  // PATLABOR_OBS_ENABLED
 
 }  // namespace patlabor::obs

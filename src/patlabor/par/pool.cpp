@@ -28,7 +28,6 @@ struct LaneCounters {
   std::atomic<std::uint64_t>* queue_wait_us = nullptr;
 };
 
-#if PATLABOR_OBS_ENABLED
 /// Task-nesting depth on this thread: 0 outside any pool task.
 thread_local int t_task_depth = 0;
 
@@ -58,7 +57,6 @@ class TaskScope {
   bool outermost_;
   std::uint64_t t0_;
 };
-#endif  // PATLABOR_OBS_ENABLED
 
 /// Runs fn(i) with the per-task accounting shared by the pooled and the
 /// inline path: the lane's busy/tasks update and a `pool.task` span opened
@@ -66,11 +64,7 @@ class TaskScope {
 /// propagate to the caller.
 void run_task(const std::function<void(std::size_t)>& fn, std::size_t i,
               const LaneCounters& lane) {
-#if PATLABOR_OBS_ENABLED
   TaskScope scope(lane);
-#else
-  (void)lane;
-#endif
   PL_SPAN("pool.task");
   fn(i);
 }
@@ -100,7 +94,6 @@ struct Batch {
   void drain(const LaneCounters& lane) {
     std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) return;
-#if PATLABOR_OBS_ENABLED
     // Per-lane handoff latency: submit -> this lane's first claim.
     if (submit_us != 0 && obs::enabled()) {
       const std::uint64_t now = obs::now_us();
@@ -108,7 +101,6 @@ struct Batch {
         lane.queue_wait_us->fetch_add(now - submit_us,
                                       std::memory_order_relaxed);
     }
-#endif
     do {
       try {
         run_task(*fn, i, lane);
@@ -200,7 +192,6 @@ std::size_t ThreadPool::lane_of_caller() const noexcept {
 void ThreadPool::run_indexed(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-#if PATLABOR_OBS_ENABLED
   // Top-level batches only: nested batches submitted from inside a task
   // (inline_pool candidate evaluation) stay uncounted at every width.
   if (t_task_depth == 0) {
@@ -208,7 +199,6 @@ void ThreadPool::run_indexed(std::size_t n,
     PL_COUNT("par.pool.tasks", n);
     PL_HIST("par.pool.batch_tasks", n);
   }
-#endif
   LaneStats& ls = lanes_[lane_of_caller()];
   const LaneCounters lc{&ls.tasks, &ls.busy_us, &ls.queue_wait_us};
   if (impl_ == nullptr || n == 1) {
@@ -219,9 +209,7 @@ void ThreadPool::run_indexed(std::size_t n,
   auto batch = std::make_shared<Batch>();
   batch->fn = &fn;
   batch->n = n;
-#if PATLABOR_OBS_ENABLED
   if (obs::enabled()) batch->submit_us = obs::now_us();
-#endif
   std::size_t depth = 0;
   {
     std::lock_guard<obs::TimedMutex> lock(impl_->mu);

@@ -28,8 +28,8 @@
 namespace patlabor::par {
 
 /// Per-lane execution accounting (one lane per worker thread plus one for
-/// the submitting caller).  The timing fields are zero when the obs runtime
-/// is disabled or instrumentation is compiled out (PATLABOR_OBS=OFF).
+/// the submitting caller).  The timing fields are zero while the obs
+/// runtime is disabled.
 struct WorkerStats {
   std::uint64_t tasks = 0;          ///< index-tasks executed on this lane
   std::uint64_t busy_us = 0;        ///< wall time spent inside task fns
@@ -63,8 +63,8 @@ class ThreadPool {
   /// Same as run_indexed.  Kept only because perfbench/ calls it.
   void run_sharded(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  // ---- Concurrency observatory (all zero under PATLABOR_OBS=OFF or with
-  // the obs runtime disabled; see DESIGN.md §6.2) ----
+  // ---- Concurrency observatory (all zero with the obs runtime disabled;
+  // see DESIGN.md §6.2) ----
 
   /// Per-lane timeline totals: size() entries, lanes [0, size()-2] are the
   /// pool workers and the last lane is the submitting caller.  Nested

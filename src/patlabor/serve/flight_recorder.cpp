@@ -17,11 +17,6 @@ void FlightRecorder::complete(const RequestTrace& t) {
   if (ring_.size() > capacity_) ring_.pop_front();
 }
 
-void FlightRecorder::discard(std::uint64_t conn_id, std::uint64_t request_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  live_.erase({conn_id, request_id});
-}
-
 FlightRecorder::DumpStats FlightRecorder::dump(const std::string& path) const {
   std::string out;
   DumpStats stats;

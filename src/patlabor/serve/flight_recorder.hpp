@@ -1,12 +1,13 @@
 // Bounded flight recorder for the routing service: the last N completed
 // RequestTrace records (ring buffer) plus every in-flight one, so a wedged
 // or slow daemon is diagnosable post-hoc *without* the event stream
-// enabled.  patlabord dumps it as JSONL on SIGQUIT, and the server chains
+// enabled.  It holds only requests admitted while obs::enabled() (which
+// patlabord always sets).  patlabord dumps it as JSONL on SIGQUIT, and the server chains
 // a dump into obs::add_flush_hook so a crash / escaped exception leaves
 // the same artifact behind (DESIGN.md §6.3).
 //
-// Thread model: start() runs on reader threads, complete()/discard() on
-// the dispatcher, dump()/snapshot() on any thread (signal loop, tests).
+// Thread model: start() runs on reader threads, complete() on the
+// dispatcher, dump()/snapshot() on any thread (signal loop, tests).
 // One mutex serializes all of it — every operation is O(1)-ish on small
 // structs, far off the routing hot path.  A dump is therefore atomic:
 // each admitted request appears in exactly one of the two sets, so
@@ -40,9 +41,6 @@ class FlightRecorder {
   /// request from in-flight to the completed ring, evicting the oldest
   /// completed record when full.
   void complete(const RequestTrace& t);
-
-  /// Drops an in-flight record without retaining it (refused admission).
-  void discard(std::uint64_t conn_id, std::uint64_t request_id);
 
   struct DumpStats {
     std::size_t in_flight = 0;

@@ -127,8 +127,8 @@ struct WireError {
 };
 
 /// Latency summary of one service stage (microsecond quantiles computed
-/// server-side from the serve.* histograms; all zero when the server was
-/// built without PATLABOR_OBS or recording is disabled).
+/// server-side from the serve.* histograms; all zero while recording is
+/// disabled).
 struct WireStageStats {
   std::uint64_t count = 0;
   std::uint64_t p50_us = 0;

@@ -49,7 +49,8 @@ struct Server::Conn {
   std::atomic<bool> dead{false};
   std::thread reader;
   /// Virtual Chrome-trace lane of this connection (obs::alloc_lane),
-  /// allocated lazily on the first admitted route request; 0 = none yet.
+  /// allocated lazily on the first route request admitted with telemetry
+  /// on; 0 = none yet.
   /// Written by the reader, read by the dispatcher: the admission queue
   /// push/pop pair orders the accesses.
   std::uint32_t lane = 0;
@@ -60,7 +61,11 @@ struct Server::Job {
   std::uint64_t request_id = 0;
   geom::Net net;
   engine::RouteRequest request;
+  /// Timestamps always; identity fields only when `recorded`.
   RequestTrace trace;
+  /// Telemetry was on at admission: the request is in the flight recorder
+  /// and gets lane spans.  Decided once so start and complete pair up.
+  bool recorded = false;
 };
 
 Server::Server(ServerOptions options)
@@ -70,7 +75,7 @@ Server::Server(ServerOptions options)
 
   // The server owns event emission (see ServerOptions::engine doc): take
   // the sink away from the engine so batches never double-emit.
-  if (obs::compiled_in()) sink_ = options_.engine.events;
+  sink_ = options_.engine.events;
   options_.engine.events = nullptr;
 
   sockaddr_un addr{};
@@ -108,7 +113,7 @@ Server::Server(ServerOptions options)
   // Crash forensics: chain a flight-recorder dump into obs::flush_all()
   // so a terminate/abort (whose handlers flush the event sinks) also
   // leaves the last-requests JSONL behind.  Unregistered in stop().
-  if (obs::compiled_in() && !options_.flight_dump_path.empty()) {
+  if (!options_.flight_dump_path.empty()) {
     flush_hook_token_ = obs::add_flush_hook([this] {
       try {
         flight_.dump(options_.flight_dump_path);
@@ -154,19 +159,15 @@ Server::Stats Server::stats() const {
 namespace {
 
 /// Quantile triple of one serve.* stage histogram; zeros when nothing was
-/// recorded (OBS off, recording disabled, or no traffic yet).
+/// recorded (recording disabled or no traffic yet).
 WireStageStats stage_stats(const char* name) {
   WireStageStats out;
-  if constexpr (obs::compiled_in()) {
-    const obs::Histogram::Summary s =
-        obs::StatsRegistry::instance().histogram(name).summary();
-    out.count = s.count;
-    out.p50_us = static_cast<std::uint64_t>(obs::histogram_quantile(s, 0.50));
-    out.p95_us = static_cast<std::uint64_t>(obs::histogram_quantile(s, 0.95));
-    out.p99_us = static_cast<std::uint64_t>(obs::histogram_quantile(s, 0.99));
-  } else {
-    (void)name;
-  }
+  const obs::Histogram::Summary s =
+      obs::StatsRegistry::instance().histogram(name).summary();
+  out.count = s.count;
+  out.p50_us = static_cast<std::uint64_t>(obs::histogram_quantile(s, 0.50));
+  out.p95_us = static_cast<std::uint64_t>(obs::histogram_quantile(s, 0.95));
+  out.p99_us = static_cast<std::uint64_t>(obs::histogram_quantile(s, 0.99));
   return out;
 }
 
@@ -229,16 +230,14 @@ void Server::note_client(const std::string& tag, std::uint64_t requests,
     c.bytes += bytes;
     c.errors += errors;
   }
-  if constexpr (obs::compiled_in()) {
-    // Dynamic metric names (PL_COUNT caches a static handle, so it only
-    // fits literal names): register through the registry directly.
-    if (obs::enabled()) {
-      obs::StatsRegistry& reg = obs::StatsRegistry::instance();
-      const std::string base = "serve.client." + tag;
-      if (requests != 0) reg.counter(base + ".requests").add(requests);
-      if (bytes != 0) reg.counter(base + ".bytes").add(bytes);
-      if (errors != 0) reg.counter(base + ".errors").add(errors);
-    }
+  // Dynamic metric names (PL_COUNT caches a static handle, so it only
+  // fits literal names): register through the registry directly.
+  if (obs::enabled()) {
+    obs::StatsRegistry& reg = obs::StatsRegistry::instance();
+    const std::string base = "serve.client." + tag;
+    if (requests != 0) reg.counter(base + ".requests").add(requests);
+    if (bytes != 0) reg.counter(base + ".bytes").add(bytes);
+    if (errors != 0) reg.counter(base + ".errors").add(errors);
   }
 }
 
@@ -437,8 +436,7 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn_ptr,
     case FrameType::kRouteRequest: {
       // Stamp "frame read complete" before decode: the wire cost of the
       // request is part of its lifecycle, the parse is ours.
-      std::uint64_t read_us = 0;
-      if constexpr (obs::compiled_in()) read_us = obs::now_us();
+      const std::uint64_t read_us = obs::now_us();
       WireRouteRequest wire;
       try {
         wire = decode_route_request(payload);
@@ -485,15 +483,16 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn_ptr,
       PL_COUNT("serve.requests", 1);
       note_client(tag, 1, kHeaderSize + payload.size(), 0);
       in_flight_.fetch_add(1, std::memory_order_relaxed);
-      if constexpr (obs::compiled_in()) {
+      job.trace.read_us = read_us;
+      job.trace.enqueue_us = obs::now_us();
+      job.recorded = obs::enabled();
+      if (job.recorded) {
         if (conn.lane == 0)
           conn.lane = obs::alloc_lane("serve.conn-" + std::to_string(conn.id));
         job.trace.conn_id = conn.id;
         job.trace.request_id = header.request_id;
         job.trace.tag = tag;
         job.trace.degree = job.net.degree();
-        job.trace.read_us = read_us;
-        job.trace.enqueue_us = obs::now_us();
         flight_.start(job.trace);
       }
       {
@@ -526,7 +525,7 @@ void Server::dispatch_loop() {
         // Like reloads: the dispatcher is the only emitter, so swapping
         // between batches needs no synchronization with emission.
         std::lock_guard<std::mutex> slock(sink_mu_);
-        sink_ = obs::compiled_in() ? pending_sink_ : nullptr;
+        sink_ = pending_sink_;
       }
       if (reload_requested_.exchange(false, std::memory_order_acq_rel)) {
         // Safe without further locking: this thread is the only one that
@@ -577,13 +576,11 @@ void Server::dispatch_batch(std::vector<Job>& jobs) {
 
   // Batch formation: every member left the queue and joined this batch at
   // the same instant (one clock read — queue wait ends here for all).
-  if constexpr (obs::compiled_in()) {
-    const std::uint64_t dequeued = obs::now_us();
-    for (Job& job : jobs) {
-      job.trace.dequeue_us = dequeued;
-      job.trace.batch_id = batch_id;
-      job.trace.batch_size = jobs.size();
-    }
+  const std::uint64_t dequeued = obs::now_us();
+  for (Job& job : jobs) {
+    job.trace.dequeue_us = dequeued;
+    job.trace.batch_id = batch_id;
+    job.trace.batch_size = jobs.size();
   }
 
   util::Timer wall;
@@ -600,13 +597,12 @@ void Server::dispatch_batch(std::vector<Job>& jobs) {
   }
   const auto wall_us = static_cast<std::uint64_t>(wall.seconds() * 1e6);
   PL_HIST("serve.batch_wall_us", wall_us);
-  const std::uint64_t routed =
-      obs::compiled_in() ? obs::now_us() : 0;
+  const std::uint64_t routed = obs::now_us();
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     Job& job = jobs[i];
     if (job.conn == nullptr) continue;
-    if constexpr (obs::compiled_in()) job.trace.routed_us = routed;
+    job.trace.routed_us = routed;
     if (!failure.empty()) {
       job.trace.error = true;
       send_error(*job.conn, job.request_id, ErrorCode::kInternal, failure,
@@ -625,11 +621,11 @@ void Server::dispatch_batch(std::vector<Job>& jobs) {
       }
     }
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    if constexpr (obs::compiled_in()) {
-      job.trace.written_us = obs::now_us();
-      PL_HIST("serve.queue_wait_us", job.trace.queue_wait_us());
-      PL_HIST("serve.route_us", job.trace.route_us());
-      PL_HIST("serve.write_us", job.trace.write_us());
+    job.trace.written_us = obs::now_us();
+    PL_HIST("serve.queue_wait_us", job.trace.queue_wait_us());
+    PL_HIST("serve.route_us", job.trace.route_us());
+    PL_HIST("serve.write_us", job.trace.write_us());
+    if (job.recorded) {
       flight_.complete(job.trace);
       // The connection's Chrome-trace lane: the whole request at depth 0,
       // its three stages as children.

@@ -36,9 +36,10 @@
 // Observability (DESIGN.md §6.3): every admitted request carries a
 // RequestTrace stamped at each lifecycle hop (frame read → enqueue →
 // dispatcher pop → batch formation → routed → response written).  The
-// trace feeds the serve.* stage histograms, a per-connection Chrome trace
-// lane, the service-lifecycle fields of the JSONL event record, and the
-// flight recorder (dumped on SIGQUIT / crash).  Live introspection goes
+// stamps feed the serve.* stage histograms and the service-lifecycle
+// fields of the JSONL event record.  A request admitted while
+// obs::enabled() also gets a per-connection Chrome trace lane and a
+// flight-recorder entry (dumped on SIGQUIT / crash).  Live introspection goes
 // over the wire: kStatsRequest answers with queue depth, in-flight count,
 // per-stage latency quantiles and per-client usage (wire_stats()).
 #pragma once
@@ -139,8 +140,8 @@ class Server {
   Stats stats() const;
 
   /// The kStatsResponse payload: stats() plus queue depth, per-stage
-  /// latency quantiles (from the serve.* histograms; zeros under
-  /// PATLABOR_OBS=OFF) and per-client counters sorted by tag.
+  /// latency quantiles (from the serve.* histograms; zeros while recording
+  /// is off) and per-client counters sorted by tag.
   WireStats wire_stats() const;
 
   /// Dumps the flight recorder as JSONL to `path` (empty = the configured

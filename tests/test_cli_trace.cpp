@@ -16,7 +16,6 @@
 #endif
 
 #include "patlabor/obs/json.hpp"
-#include "patlabor/obs/obs.hpp"
 
 namespace {
 
@@ -151,8 +150,7 @@ int main(int argc, char** argv) {
     }
     check(all_json, "every event line is a JSON object");
     check(manifest_first, "first event line is the run manifest");
-    if (patlabor::obs::compiled_in())
-      check(net_records == 3, "one net record per routed net");
+    check(net_records == 3, "one net record per routed net");
   }
   check(exit_code(run("\"" + cli + "\" route " + nets +
                       " --events-deterministic")) == 2,
@@ -161,11 +159,9 @@ int main(int argc, char** argv) {
   check(run("\"" + cli + "\" route " + nets + " --metrics-dump " + prom) == 0,
         "route --metrics-dump succeeds");
   const std::string prom_text = read_file(prom);
-  if (patlabor::obs::compiled_in()) {
-    check(!prom_text.empty(), "metrics exposition file written");
-    check(prom_text.find("# TYPE patlabor_") != std::string::npos,
-          "metrics exposition contains typed patlabor_ series");
-  }
+  check(!prom_text.empty(), "metrics exposition file written");
+  check(prom_text.find("# TYPE patlabor_") != std::string::npos,
+        "metrics exposition contains typed patlabor_ series");
 
   if (!obsdiff.empty()) {
     check(exit_code(run("\"" + obsdiff + "\"")) == 2,
@@ -173,50 +169,59 @@ int main(int argc, char** argv) {
     check(exit_code(run("\"" + obsdiff + "\" " + ev1 + " missing.jsonl")) ==
               2,
           "obsdiff with a missing file exits 2");
-    if (patlabor::obs::compiled_in()) {
-      check(exit_code(run("\"" + obsdiff + "\" " + ev1 + " " + ev2)) == 0,
-            "obsdiff self-compare of identical runs exits 0");
+    check(exit_code(run("\"" + obsdiff + "\" " + ev1 + " " + ev2)) == 0,
+          "obsdiff self-compare of identical runs exits 0");
 
-      // Quality-regression fixture: shrink every hypervolume field.
-      const std::string reduced = "cli_trace_reduced.jsonl";
-      {
-        std::ofstream out(reduced, std::ios::binary);
-        std::istringstream lines(ev_text);
-        std::string line;
-        while (std::getline(lines, line)) {
-          const std::string key = "\"hv\":";
-          const auto pos = line.find(key);
-          if (pos != std::string::npos) {
-            auto end = line.find_first_of(",}", pos + key.size());
-            line.replace(pos + key.size(), end - pos - key.size(), "0.0");
-          }
-          out << line << "\n";
+    // Quality-regression fixture: shrink every hypervolume field.
+    const std::string reduced = "cli_trace_reduced.jsonl";
+    {
+      std::ofstream out(reduced, std::ios::binary);
+      std::istringstream lines(ev_text);
+      std::string line;
+      while (std::getline(lines, line)) {
+        const std::string key = "\"hv\":";
+        const auto pos = line.find(key);
+        if (pos != std::string::npos) {
+          auto end = line.find_first_of(",}", pos + key.size());
+          line.replace(pos + key.size(), end - pos - key.size(), "0.0");
         }
+        out << line << "\n";
       }
-      check(exit_code(run("\"" + obsdiff + "\" " + ev1 + " " + reduced)) == 1,
-            "obsdiff flags reduced hypervolume with exit code 1");
-      check(exit_code(run("\"" + obsdiff + "\" " + ev1 + " " + reduced +
-                          " --hv-tol 2.0")) == 0,
-            "obsdiff --hv-tol widens the quality gate");
-
-      // Incomparable fixture: no canonical hashes in common.
-      const std::string shifted = "cli_trace_shifted.jsonl";
-      {
-        std::ofstream out(shifted, std::ios::binary);
-        std::istringstream lines(ev_text);
-        std::string line;
-        while (std::getline(lines, line)) {
-          const auto pos = line.find("\"chash\":\"");
-          if (pos != std::string::npos) line.insert(pos + 9, "ff");
-          out << line << "\n";
-        }
-      }
-      check(exit_code(run("\"" + obsdiff + "\" " + ev1 + " " + shifted)) ==
-                3,
-            "obsdiff on disjoint hash sets exits 3 (incomparable)");
-      std::remove(reduced.c_str());
-      std::remove(shifted.c_str());
     }
+    check(exit_code(run("\"" + obsdiff + "\" " + ev1 + " " + reduced)) == 1,
+          "obsdiff flags reduced hypervolume with exit code 1");
+    check(exit_code(run("\"" + obsdiff + "\" " + ev1 + " " + reduced +
+                        " --hv-tol 2.0")) == 0,
+          "obsdiff --hv-tol widens the quality gate");
+
+    // Incomparable fixture: no canonical hashes in common.
+    const std::string shifted = "cli_trace_shifted.jsonl";
+    {
+      std::ofstream out(shifted, std::ios::binary);
+      std::istringstream lines(ev_text);
+      std::string line;
+      while (std::getline(lines, line)) {
+        const auto pos = line.find("\"chash\":\"");
+        if (pos != std::string::npos) line.insert(pos + 9, "ff");
+        out << line << "\n";
+      }
+    }
+    check(exit_code(run("\"" + obsdiff + "\" " + ev1 + " " + shifted)) == 3,
+          "obsdiff on disjoint hash sets exits 3 (incomparable)");
+
+    // Manifest-only files (the manifest line of a run, no net records):
+    // nothing to join on, so obsdiff must report them incomparable.
+    const std::string manifest_only = "cli_trace_manifest_only.jsonl";
+    {
+      std::ofstream out(manifest_only, std::ios::binary);
+      out << ev_text.substr(0, ev_text.find('\n') + 1);
+    }
+    check(exit_code(run("\"" + obsdiff + "\" " + manifest_only + " " +
+                        manifest_only)) == 3,
+          "obsdiff on two manifest-only files exits 3 (incomparable)");
+    std::remove(reduced.c_str());
+    std::remove(shifted.c_str());
+    std::remove(manifest_only.c_str());
   }
   std::remove(ev1.c_str());
   std::remove(ev2.c_str());
@@ -247,15 +252,8 @@ int main(int argc, char** argv) {
           saw_route_span = true;
       }
     }
-    // In a -DPATLABOR_OBS=OFF build the spans compile away: the file is
-    // still valid JSON but the traceEvents array is empty.
-    if (patlabor::obs::compiled_in()) {
-      check(complete >= 1,
-            "trace contains at least one complete (ph=X) span");
-      check(saw_route_span, "trace contains the cli.route root span");
-    } else {
-      std::printf("built without PATLABOR_OBS; skipping span checks\n");
-    }
+    check(complete >= 1, "trace contains at least one complete (ph=X) span");
+    check(saw_route_span, "trace contains the cli.route root span");
   }
 
   if (g_failures == 0) std::printf("test_cli_trace: all checks passed\n");

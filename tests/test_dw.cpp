@@ -453,9 +453,8 @@ TEST(ParetoDwDifferential, MatchesEnumerationReference) {
   // 2 × Σ nets = 308 nets, each solved under all four pruning options.
   const Case cases[] = {{2, 10}, {3, 30}, {4, 30}, {5, 30}, {6, 24},
                         {7, 16}, {8, 8},  {9, 4},  {10, 2}};
-  const bool counters = obs::compiled_in();
   const bool was_enabled = obs::enabled();
-  if (counters) obs::set_enabled(true);
+  obs::set_enabled(true);
   auto& reg = obs::StatsRegistry::instance();
   const char* const names[] = {"dw.merge_candidates", "dw.grow_candidates",
                                "dw.states_expanded", "pareto.points_filtered"};
@@ -491,7 +490,6 @@ TEST(ParetoDwDifferential, MatchesEnumerationReference) {
             ASSERT_EQ(got.trees[t].parents(), ref.result.trees[t].parents())
                 << where << " tree " << t;
           }
-          if (!counters) continue;
           const std::uint64_t want[4] = {
               ref.merge_candidates, ref.grow_candidates,
               ref.result.solutions_created, ref.points_filtered};

@@ -6,6 +6,7 @@
 // matches direct core::patlabor.
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -179,6 +180,49 @@ TEST(FrontierCache, ZeroCapacityDisablesStorage) {
   cache.insert(1, entry_with({{1, 1}}));
   EXPECT_FALSE(cache.find(1, {{1, 1}}).has_value());
   EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST(FrontierCache, NeverHoldsMoreThanCapacity) {
+  // The capacity bounds the total even when more stripes are requested
+  // than there are entries.
+  for (const std::size_t capacity : {std::size_t{5}, std::size_t{100}}) {
+    engine::FrontierCache cache(capacity, /*shards=*/16);
+    for (std::uint64_t k = 0; k < 100; ++k)
+      cache.insert(k, entry_with({{int(k), int(k)}}));
+    const engine::CacheStats s = cache.stats();
+    EXPECT_LE(s.entries, capacity) << "capacity " << capacity;
+    EXPECT_LE(s.shards.size(), capacity) << "capacity " << capacity;
+  }
+}
+
+TEST(CacheOptions, EnablementRule) {
+  // Explicit setting wins over PATLABOR_CACHE; capacity 0 always disables.
+  const char* saved = std::getenv("PATLABOR_CACHE");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  engine::CacheOptions opt;
+  ::unsetenv("PATLABOR_CACHE");
+  EXPECT_TRUE(engine::cache_is_enabled(opt));
+  ::setenv("PATLABOR_CACHE", "0", 1);
+  EXPECT_FALSE(engine::cache_is_enabled(opt));
+  opt.enabled = true;
+  EXPECT_TRUE(engine::cache_is_enabled(opt));
+  ::setenv("PATLABOR_CACHE", "1", 1);
+  opt.enabled.reset();
+  EXPECT_TRUE(engine::cache_is_enabled(opt));
+  opt.enabled = false;
+  EXPECT_FALSE(engine::cache_is_enabled(opt));
+  opt.enabled = true;
+  opt.capacity = 0;
+  EXPECT_FALSE(engine::cache_is_enabled(opt));
+  opt.enabled.reset();
+  EXPECT_FALSE(engine::cache_is_enabled(opt));
+  // The engine applies the same rule.
+  ::setenv("PATLABOR_CACHE", "0", 1);
+  EXPECT_FALSE(engine::Engine(engine::EngineOptions{}).cache_enabled());
+  if (saved != nullptr)
+    ::setenv("PATLABOR_CACHE", saved_value.c_str(), 1);
+  else
+    ::unsetenv("PATLABOR_CACHE");
 }
 
 TEST(FrontierCache, PerShardStatsSumToTheTotals) {
@@ -392,7 +436,6 @@ TEST_F(EngineSuite, PhaseTableSelfTimesAreNonNegativeAndBoundedByLanes) {
   // task's spans and pool.task are both charged to engine.route_batch and
   // its self time goes negative.  Jobs 1 takes the pool's inline path,
   // jobs 4 the pooled one.
-  if (!obs::compiled_in()) GTEST_SKIP() << "built without PATLABOR_OBS";
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
   const std::vector<Net> nets = corpus();

@@ -80,8 +80,6 @@ std::string route_with_events(const std::vector<geom::Net>& nets,
 }
 
 TEST(EventSink, EmitsOneValidJsonRecordPerNetPlusManifest) {
-  if (!obs::compiled_in())
-    GTEST_SKIP() << "built without PATLABOR_OBS: engine emits no events";
   const auto nets = mixed_nets(6);
   const std::string path = "events_basic.jsonl";
   route_with_events(nets, path, 1, /*deterministic=*/false, /*cache=*/true);
@@ -128,8 +126,6 @@ TEST(EventSink, EmitsOneValidJsonRecordPerNetPlusManifest) {
 }
 
 TEST(EventSink, DeterministicFilesAreByteIdenticalAcrossJobs) {
-  if (!obs::compiled_in())
-    GTEST_SKIP() << "built without PATLABOR_OBS: engine emits no events";
   const auto nets = mixed_nets(12);
   for (bool cache : {true, false}) {
     const std::string p1 = "events_det_j1.jsonl";
@@ -162,8 +158,6 @@ TEST(EventSink, DeterministicFilesAreByteIdenticalAcrossJobs) {
 }
 
 TEST(EventSink, DeterministicRunsAreByteIdenticalAcrossRepeats) {
-  if (!obs::compiled_in())
-    GTEST_SKIP() << "built without PATLABOR_OBS: engine emits no events";
   const auto nets = mixed_nets(8);
   const std::string p1 = "events_rep_1.jsonl";
   const std::string p2 = "events_rep_2.jsonl";
@@ -175,8 +169,6 @@ TEST(EventSink, DeterministicRunsAreByteIdenticalAcrossRepeats) {
 }
 
 TEST(EventSink, SingleRouteStampsEmissionSequence) {
-  if (!obs::compiled_in())
-    GTEST_SKIP() << "built without PATLABOR_OBS: engine emits no events";
   const auto nets = mixed_nets(3);
   const std::string path = "events_single.jsonl";
   {

@@ -17,14 +17,6 @@ namespace {
 using obs::StatsRegistry;
 using obs::TraceEvent;
 
-// Skips the current test in a -DPATLABOR_OBS=OFF build, where the PL_*
-// macros compile away and cannot record anything.
-#define PL_REQUIRE_COMPILED_IN()                               \
-  do {                                                         \
-    if (!obs::compiled_in())                                   \
-      GTEST_SKIP() << "built without PATLABOR_OBS";            \
-  } while (0)
-
 // Each fixture run starts from a clean, disabled observability state.
 class ObsTest : public ::testing::Test {
  protected:
@@ -96,7 +88,6 @@ TEST_F(ObsTest, MacrosAreNoOpsWhenDisabled) {
 }
 
 TEST_F(ObsTest, MacrosRecordWhenEnabled) {
-  PL_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   PL_COUNT("test.enabled_counter", 2);
   PL_COUNT("test.enabled_counter", 3);
@@ -107,7 +98,6 @@ TEST_F(ObsTest, MacrosRecordWhenEnabled) {
 }
 
 TEST_F(ObsTest, NestedSpansRecordDepthAndContainment) {
-  PL_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   // Spin until the microsecond clock ticks so every span gets a distinct
   // start time; equal timestamps would make the drain order ambiguous.
@@ -195,7 +185,6 @@ TEST_F(ObsTest, AggregatePhasesComputesSelfTime) {
 }
 
 TEST_F(ObsTest, TraceJsonRoundTrips) {
-  PL_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   {
     PL_SPAN("json.outer");
@@ -226,7 +215,6 @@ TEST_F(ObsTest, TraceJsonRoundTrips) {
 }
 
 TEST_F(ObsTest, ReportJsonRoundTrips) {
-  PL_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   PL_COUNT("test.report_counter", 12);
   PL_HIST("test.report_hist", 3);
@@ -251,7 +239,6 @@ TEST_F(ObsTest, ReportJsonRoundTrips) {
 }
 
 TEST_F(ObsTest, MultiThreadedCounterIncrements) {
-  PL_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   auto& c = StatsRegistry::instance().counter("test.mt_counter");
   constexpr int kThreads = 8;
@@ -267,7 +254,6 @@ TEST_F(ObsTest, MultiThreadedCounterIncrements) {
 }
 
 TEST_F(ObsTest, SpansFromMultipleThreadsGetDistinctTids) {
-  PL_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   { PL_SPAN("main.span"); }
   std::thread([&] { PL_SPAN("worker.span"); }).join();
@@ -279,7 +265,6 @@ TEST_F(ObsTest, SpansFromMultipleThreadsGetDistinctTids) {
 // ---- TimedMutex: lock-wait accounting ----
 
 TEST_F(ObsTest, TimedMutexCountsUncontendedAcquisitions) {
-  PL_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   obs::TimedMutex mu;
   for (int i = 0; i < 5; ++i) {
@@ -292,7 +277,6 @@ TEST_F(ObsTest, TimedMutexCountsUncontendedAcquisitions) {
 }
 
 TEST_F(ObsTest, TimedMutexMeasuresContendedWaitAndMirrorsFamily) {
-  PL_REQUIRE_COMPILED_IN();
   obs::set_enabled(true);
   obs::TimedMutex mu("test.lockfam");
   std::atomic<bool> held{false};
@@ -332,22 +316,23 @@ TEST_F(ObsTest, TimedMutexIsInertWhileRuntimeDisabled) {
 }
 
 TEST_F(ObsTest, TimedMutexStillExcludesUnderAllConfigurations) {
-  // Mutual exclusion must hold in every build (PATLABOR_OBS=OFF compiles
-  // the wrapper down to a plain std::mutex) and whether or not the
-  // runtime switch is on.
-  obs::set_enabled(obs::compiled_in());
-  obs::TimedMutex mu;
-  int counter = 0;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t)
-    threads.emplace_back([&] {
-      for (int i = 0; i < 2000; ++i) {
-        std::lock_guard<obs::TimedMutex> lock(mu);
-        ++counter;  // unsynchronized without the mutex
-      }
-    });
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter, 8000);
+  // Mutual exclusion must hold whether or not the runtime switch is on
+  // (off, lock() is the plain mutex; on, the try_lock fast path).
+  for (const bool on : {false, true}) {
+    obs::set_enabled(on);
+    obs::TimedMutex mu;
+    int counter = 0;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+      threads.emplace_back([&] {
+        for (int i = 0; i < 2000; ++i) {
+          std::lock_guard<obs::TimedMutex> lock(mu);
+          ++counter;  // unsynchronized without the mutex
+        }
+      });
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(counter, 8000) << "enabled=" << on;
+  }
 }
 
 TEST(ObsJson, ParsesScalarsAndStructures) {
@@ -380,7 +365,6 @@ TEST_F(ObsTest, GaugeSetAddAndSnapshot) {
 }
 
 TEST_F(ObsTest, GaugeMacroRespectsRuntimeFlag) {
-  PL_REQUIRE_COMPILED_IN();
   PL_GAUGE_SET("test.gauge_macro", 9);  // disabled: must not record
   EXPECT_EQ(StatsRegistry::instance().snapshot().gauges.count(
                 "test.gauge_macro"),

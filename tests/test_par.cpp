@@ -233,13 +233,10 @@ TEST(ObsIntegration, PoolWorkersRegisterNamedTraceLanes) {
 class PoolObservatory : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!obs::compiled_in()) GTEST_SKIP() << "built without PATLABOR_OBS";
     was_enabled_ = obs::enabled();
     obs::set_enabled(true);
   }
-  void TearDown() override {
-    if (obs::compiled_in()) obs::set_enabled(was_enabled_);
-  }
+  void TearDown() override { obs::set_enabled(was_enabled_); }
   bool was_enabled_ = false;
 };
 

@@ -530,8 +530,6 @@ TEST(Serve, ReloadSwapsEngineBetweenBatchesWithoutChangingAnswers) {
 }
 
 TEST(Serve, PerClientTagsLandInTheEventStream) {
-  if (!obs::compiled_in())
-    GTEST_SKIP() << "net event records require PATLABOR_OBS=ON";
   const std::string events_file =
       "/tmp/pl_serve_test_events_" + std::to_string(::getpid()) + ".jsonl";
   obs::EventSink sink(events_file, {.deterministic = true});
@@ -659,22 +657,16 @@ TEST(ServeObs, StatsFrameReportsTotalsStagesAndClients) {
   EXPECT_EQ(stats.clients[0].errors, 0u);
   EXPECT_EQ(stats.clients[1].tag, "c1");
   EXPECT_EQ(stats.clients[1].requests, nets.size());
-  if (obs::compiled_in()) {
-    // Stage histograms are process-global: this server contributed at
-    // least its own samples.
-    EXPECT_GE(stats.queue_wait.count, expect);
-    EXPECT_GE(stats.route.count, expect);
-    EXPECT_GE(stats.write.count, expect);
-    EXPECT_GE(stats.route.p99_us, stats.route.p50_us);
-  } else {
-    EXPECT_EQ(stats.route.count, 0u);
-  }
+  // Stage histograms are process-global: this server contributed at least
+  // its own samples.
+  EXPECT_GE(stats.queue_wait.count, expect);
+  EXPECT_GE(stats.route.count, expect);
+  EXPECT_GE(stats.write.count, expect);
+  EXPECT_GE(stats.route.p99_us, stats.route.p50_us);
   server.stop();
 }
 
 TEST(ServeObs, Sigusr1DumpsMetricsWithServeFamilies) {
-  if (!obs::compiled_in())
-    GTEST_SKIP() << "metrics require PATLABOR_OBS=ON";
   obs::set_enabled(true);
   serve::Server server(base_options());
   serve::Client client(server.socket_path());
@@ -731,8 +723,6 @@ std::vector<std::string> read_lines(const std::string& path) {
 }
 
 TEST(ServeObs, DeterministicDaemonEventsMatchDirectEngineModuloTags) {
-  if (!obs::compiled_in())
-    GTEST_SKIP() << "event streams require PATLABOR_OBS=ON";
   const std::string suffix = std::to_string(::getpid()) + ".jsonl";
   const std::string direct_file = "/tmp/pl_serve_test_direct_" + suffix;
   const std::string daemon_file = "/tmp/pl_serve_test_daemon_" + suffix;
@@ -781,8 +771,8 @@ TEST(ServeObs, DeterministicDaemonEventsMatchDirectEngineModuloTags) {
 }
 
 TEST(ServeObs, NonDeterministicEventsCarryServeLifecycleFields) {
-  if (!obs::compiled_in())
-    GTEST_SKIP() << "event streams require PATLABOR_OBS=ON";
+  // Telemetry off: the lifecycle stamps the events need are taken anyway.
+  obs::set_enabled(false);
   const std::string events_file = "/tmp/pl_serve_test_lifecycle_" +
                                   std::to_string(::getpid()) + ".jsonl";
   {
@@ -810,8 +800,6 @@ TEST(ServeObs, NonDeterministicEventsCarryServeLifecycleFields) {
 }
 
 TEST(ServeObs, StageSumsMatchLifetimeAndBoundClientObservedWall) {
-  if (!obs::compiled_in())
-    GTEST_SKIP() << "request traces require PATLABOR_OBS=ON";
   obs::set_enabled(true);
   serve::Server server(base_options());
   serve::Client client(server.socket_path());
@@ -856,8 +844,6 @@ TEST(ServeObs, StageSumsMatchLifetimeAndBoundClientObservedWall) {
 }
 
 TEST(ServeObs, FlightDumpCoversEveryAdmittedRequest) {
-  if (!obs::compiled_in())
-    GTEST_SKIP() << "the flight recorder requires PATLABOR_OBS=ON";
   obs::set_enabled(true);
   serve::ServerOptions options = base_options();
   options.flight_capacity = 64;
@@ -910,6 +896,22 @@ TEST(ServeObs, FlightDumpCoversEveryAdmittedRequest) {
     EXPECT_TRUE(found) << "request " << id << " missing from final dump";
   }
   std::remove(dump_file.c_str());
+}
+
+TEST(ServeObs, TelemetryOffRecordsNoFlightEntries) {
+  obs::set_enabled(false);
+  serve::Server server(base_options());
+  serve::Client client(server.socket_path());
+  constexpr std::size_t kRequests = 8;
+  for (const geom::Net& net : make_nets(71, kRequests))
+    client.route(net, {});
+  // Every reply is in; the dispatcher has finished with each request.
+  for (int i = 0; i < 200 && server.stats().in_flight != 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(server.stats().responses, kRequests);
+  EXPECT_TRUE(server.flight_snapshot().empty());
+  server.stop();
+  EXPECT_TRUE(server.flight_snapshot().empty());
 }
 
 }  // namespace

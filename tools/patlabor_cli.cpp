@@ -64,7 +64,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "patlabor/lut/lut_format.hpp"
 #include "patlabor/obs/events.hpp"
@@ -136,10 +135,6 @@ class ObsSession {
         trace_path_(std::move(trace_path)),
         metrics_path_(std::move(metrics_path)) {
     if (!active()) return;
-    if (!obs::compiled_in())
-      std::fprintf(stderr,
-                   "warning: built without PATLABOR_OBS; --stats/--trace/"
-                   "--metrics-dump will report nothing\n");
     obs::StatsRegistry::instance().reset();
     obs::clear_trace();
     obs::set_enabled(true);
@@ -384,10 +379,6 @@ int cmd_route(int argc, char** argv) {
     if (jobs != 0) par::set_jobs(jobs);
 
     if (!events_path.empty()) {
-      if (!obs::compiled_in())
-        std::fprintf(stderr,
-                     "warning: built without PATLABOR_OBS; --events will "
-                     "record a manifest but no net events\n");
       obs::EventSink::Options sopt;
       sopt.deterministic = events_deterministic;
       events_sink = std::make_unique<obs::EventSink>(events_path, sopt);
@@ -397,11 +388,7 @@ int cmd_route(int argc, char** argv) {
       manifest.input = in;
       manifest.lambda = lambda;
       manifest.jobs = jobs;
-      // Mirror the engine's tri-state: --no-cache wins, else PATLABOR_CACHE.
-      const char* cache_env = std::getenv("PATLABOR_CACHE");
-      manifest.cache_enabled =
-          !no_cache &&
-          (cache_env == nullptr || std::string_view(cache_env) != "0");
+      manifest.cache_enabled = engine::cache_is_enabled(eopt.cache);
       manifest.cache_capacity = eopt.cache.capacity;
       manifest.cache_shards = eopt.cache.shards;
       events_sink->write_manifest(manifest);

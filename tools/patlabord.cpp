@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
       manifest.input = options.socket_path;
       manifest.lambda = options.engine.lambda;
       manifest.jobs = options.engine.jobs;
-      manifest.cache_enabled = options.engine.cache.enabled.value_or(true);
+      manifest.cache_enabled = engine::cache_is_enabled(options.engine.cache);
       manifest.cache_capacity = options.engine.cache.capacity;
       manifest.cache_shards = options.engine.cache.shards;
       events->write_manifest(manifest);
