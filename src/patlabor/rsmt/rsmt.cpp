@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -28,45 +27,75 @@ namespace {
 
 constexpr Length kInf = std::numeric_limits<Length>::max() / 4;
 
-// Backtracking record of one non-singleton DP state (mask, v): a merge
-// stores its sub-partition `sub` (< 2^(kExactMaxDegree-1)), a grow stores
-// kGrow | predecessor node id.  Singleton masks are always leaves: the
-// grow step cannot improve dist(v, sink) (triangle inequality).
-constexpr std::uint32_t kGrow = 1u << 31;
+// Most merge partitions of one mask: the lowest sink plus any proper
+// subset of the other kExactMaxDegree - 2 sinks.
+constexpr std::size_t kMaxParts = std::size_t{1} << (kExactMaxDegree - 2);
 
-// Replaces (c, s) by (c2, s2) when the latter is lexicographically smaller.
-void relax(Length& c, NodeId& s, Length c2, NodeId s2) {
-  const bool take = c2 < c || (c2 == c && s2 < s);
-  c = take ? c2 : c;
-  s = take ? s2 : s;
+// Fills subs[] with every proper sub-partition of `mask` that holds its
+// lowest sink, in decreasing order, and returns how many there are.
+std::size_t partitions(std::uint32_t mask, std::uint32_t* subs) {
+  const std::uint32_t low = mask & (~mask + 1);
+  const std::uint32_t others = mask ^ low;
+  std::size_t np = 0;
+  for (std::uint32_t part = (others - 1) & others;;
+       part = (part - 1) & others) {
+    subs[np++] = part | low;
+    if (part == 0) break;
+  }
+  return np;
 }
 
-// L1 distance transform over the Hanan grid: on entry cost[u] is a node
-// cost and src[u] == u; on exit (cost[v], src[v]) is the lexicographic
-// minimum over all u of (cost[u] + dist(u, v), u).  Sweeps along y inside
+// Merge step, a pure min-plus reduction: d[v] becomes the minimum over the
+// partitions of row(sub)[v] + row(mask ^ sub)[v].  Four partitions per pass
+// over v, so d is loaded and stored once per four.
+void merge(const Length* dp, std::size_t nv, std::uint32_t mask,
+           const std::uint32_t* subs, std::size_t np, Length* d) {
+  auto row = [&](std::uint32_t m) { return dp + m * nv; };
+  std::fill(d, d + nv, kInf);
+  std::size_t i = 0;
+  for (; i + 4 <= np; i += 4) {
+    const Length* a0 = row(subs[i]);
+    const Length* b0 = row(mask ^ subs[i]);
+    const Length* a1 = row(subs[i + 1]);
+    const Length* b1 = row(mask ^ subs[i + 1]);
+    const Length* a2 = row(subs[i + 2]);
+    const Length* b2 = row(mask ^ subs[i + 2]);
+    const Length* a3 = row(subs[i + 3]);
+    const Length* b3 = row(mask ^ subs[i + 3]);
+    for (std::size_t v = 0; v < nv; ++v) {
+      const Length m01 = std::min(a0[v] + b0[v], a1[v] + b1[v]);
+      const Length m23 = std::min(a2[v] + b2[v], a3[v] + b3[v]);
+      d[v] = std::min(d[v], std::min(m01, m23));
+    }
+  }
+  for (; i < np; ++i) {
+    const Length* a = row(subs[i]);
+    const Length* b = row(mask ^ subs[i]);
+    for (std::size_t v = 0; v < nv; ++v) d[v] = std::min(d[v], a[v] + b[v]);
+  }
+}
+
+// L1 distance transform over the Hanan grid, in place: on exit cost[v] is
+// the minimum over all u of cost[u] + dist(u, v).  Sweeps along y inside
 // each column, then along x over those column minima: the x distance is
 // constant along each x sweep, so the minimum decomposes exactly.
-void distance_transform(const HananGrid& grid, Length* cost, NodeId* src) {
+void distance_transform(const HananGrid& grid, Length* cost) {
   const int nx = grid.nx();
   const int ny = grid.ny();
   const std::span<const Length> gx = grid.x_gaps();
   const std::span<const Length> gy = grid.y_gaps();
   for (int xi = 0; xi < nx; ++xi) {
     Length* c = cost + static_cast<std::ptrdiff_t>(xi) * ny;
-    NodeId* s = src + static_cast<std::ptrdiff_t>(xi) * ny;
     for (int yi = 1; yi < ny; ++yi)
-      relax(c[yi], s[yi], c[yi - 1] + gy[static_cast<std::size_t>(yi - 1)],
-            s[yi - 1]);
+      c[yi] = std::min(c[yi],
+                       c[yi - 1] + gy[static_cast<std::size_t>(yi - 1)]);
     for (int yi = ny - 2; yi >= 0; --yi)
-      relax(c[yi], s[yi], c[yi + 1] + gy[static_cast<std::size_t>(yi)],
-            s[yi + 1]);
+      c[yi] = std::min(c[yi], c[yi + 1] + gy[static_cast<std::size_t>(yi)]);
   }
   auto sweep_column = [&](int to, int from, Length gap) {
     Length* c = cost + static_cast<std::ptrdiff_t>(to) * ny;
-    NodeId* s = src + static_cast<std::ptrdiff_t>(to) * ny;
     const Length* fc = cost + static_cast<std::ptrdiff_t>(from) * ny;
-    const NodeId* fs = src + static_cast<std::ptrdiff_t>(from) * ny;
-    for (int yi = 0; yi < ny; ++yi) relax(c[yi], s[yi], fc[yi] + gap, fs[yi]);
+    for (int yi = 0; yi < ny; ++yi) c[yi] = std::min(c[yi], fc[yi] + gap);
   };
   for (int xi = 1; xi < nx; ++xi)
     sweep_column(xi, xi - 1, gx[static_cast<std::size_t>(xi - 1)]);
@@ -86,56 +115,51 @@ RoutingTree exact_rsmt(const Net& net) {
   const std::uint32_t full = (1u << nsinks) - 1;
 
   // dp[mask * nv + v]: cheapest cost of a tree that connects node v with
-  // the sink set `mask`; how[] holds its backtracking record.
-  std::vector<Length> dp((full + 1) * unv, kInf);
-  std::vector<std::uint32_t> how((full + 1) * unv, 0);
-  std::vector<Length> grown(unv);
-  std::vector<NodeId> grown_from(unv);
+  // the sink set `mask`.  Only values are stored.
+  std::vector<Length> dp((full + 1) * unv);
+  auto row = [&](std::uint32_t mask) { return dp.data() + mask * unv; };
+  std::uint32_t subs[kMaxParts];
 
   std::vector<NodeId> sink_node(nsinks);
   for (std::size_t i = 0; i < nsinks; ++i)
     sink_node[i] = grid.node_at(net.pins[i + 1]);
 
   for (std::uint32_t mask = 1; mask <= full; ++mask) {
-    Length* d = dp.data() + mask * unv;
-    const std::uint32_t low = mask & (~mask + 1);
-    const std::uint32_t others = mask ^ low;
-    if (others == 0) {
+    Length* d = row(mask);
+    if ((mask & (mask - 1)) == 0) {
       const NodeId sink = sink_node[static_cast<std::size_t>(
           std::countr_zero(mask))];
       for (int v = 0; v < nv; ++v) d[v] = grid.dist(v, sink);
       continue;
     }
-    // Merge step: every proper sub-partition `sub` that holds the lowest
-    // sink, in decreasing order; per v the first strictly better one wins.
-    std::uint32_t* h = how.data() + mask * unv;
-    for (std::uint32_t part = (others - 1) & others;;
-         part = (part - 1) & others) {
-      const std::uint32_t sub = part | low;
-      const Length* a = dp.data() + sub * unv;
-      const Length* b = dp.data() + (mask ^ sub) * unv;
-      for (int v = 0; v < nv; ++v) {
-        const Length cost = a[v] + b[v];
-        const bool better = cost < d[v];
-        d[v] = better ? cost : d[v];
-        h[v] = better ? sub : h[v];
-      }
-      if (part == 0) break;
-    }
+    merge(dp.data(), unv, mask, subs, partitions(mask, subs), d);
     // Grow step: one L1-closure round (the grid metric satisfies the
-    // triangle inequality, so a single round reaches the closure).  Ties
-    // go to the lowest predecessor id, and only strict gains are taken.
-    std::copy(d, d + nv, grown.begin());
-    std::iota(grown_from.begin(), grown_from.end(), NodeId{0});
-    distance_transform(grid, grown.data(), grown_from.data());
-    for (int v = 0; v < nv; ++v) {
-      const auto uv = static_cast<std::size_t>(v);
-      if (grown[uv] < d[v]) {
-        d[v] = grown[uv];
-        h[v] = kGrow | static_cast<std::uint32_t>(grown_from[uv]);
-      }
-    }
+    // triangle inequality, so a single round reaches the closure).
+    distance_transform(grid, d);
   }
+
+  // Re-derive the choice of each state the tree visits, in the tie order
+  // of rsmt.hpp.  merge_split() returns the first partition, in decreasing
+  // order, whose sum reaches dp[mask][v], or 0 when none does: a grow.
+  auto merge_split = [&](std::uint32_t mask, NodeId v) -> std::uint32_t {
+    const std::size_t np = partitions(mask, subs);
+    for (std::size_t i = 0; i < np; ++i)
+      if (row(subs[i])[v] + row(mask ^ subs[i])[v] == row(mask)[v])
+        return subs[i];
+    return 0;
+  };
+  // A grow's predecessor is the lowest u whose merged value plus dist(u, v)
+  // reaches dp[mask][v].  Final values satisfy the triangle inequality and
+  // merged >= final, so that u is the lowest one with
+  // dp[u] + dist(u, v) == dp[v] that is itself a merge state.
+  auto grow_from = [&](std::uint32_t mask, NodeId v) -> NodeId {
+    const Length* d = row(mask);
+    for (NodeId u = 0; u < nv; ++u)
+      if (u != v && d[u] + grid.dist(u, v) == d[v] && merge_split(mask, u))
+        return u;
+    assert(false && "a grow state has a merge-state predecessor");
+    return v;
+  };
 
   // Reconstruct the edge list.
   std::vector<std::pair<Point, Point>> edges;
@@ -150,14 +174,13 @@ RoutingTree exact_rsmt(const Net& net) {
       if (sink != v) edges.emplace_back(grid.point(v), grid.point(sink));
       continue;
     }
-    const std::uint32_t h = how[mask * unv + static_cast<std::size_t>(v)];
-    if (h & kGrow) {
-      const auto from = static_cast<NodeId>(h & ~kGrow);
+    if (const std::uint32_t sub = merge_split(mask, v)) {
+      stack.emplace_back(v, sub);
+      stack.emplace_back(v, mask ^ sub);
+    } else {
+      const NodeId from = grow_from(mask, v);
       edges.emplace_back(grid.point(v), grid.point(from));
       stack.emplace_back(from, mask);
-    } else {
-      stack.emplace_back(v, h);
-      stack.emplace_back(v, mask ^ h);
     }
   }
 

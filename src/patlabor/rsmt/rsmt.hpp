@@ -16,11 +16,15 @@ namespace patlabor::rsmt {
 inline constexpr std::size_t kExactMaxDegree = 10;
 
 /// Exact RSMT by scalar Dreyfus-Wagner on the Hanan grid (nv nodes):
-/// O(3^(n-1) * nv) merge plus O(2^(n-1) * nv) grow, the grow step being an
-/// L1 distance transform.  Equal-cost choices go to the first sub-partition
-/// in enumeration order and to the lowest predecessor node id, so the tree
-/// is a deterministic function of the net.
-/// Requires net.degree() <= kExactMaxDegree.
+/// O(3^(n-1) * nv) merge plus O(2^(n-1) * nv) grow.  The DP keeps only
+/// values, 2^(n-1) * nv of them: the merge is a pure min-plus reduction
+/// over sink partitions, and the grow an in-place L1 distance transform.
+/// The reconstruction re-derives the choice of each state it visits
+/// (fewer than 2n) from those values, with the tie order of a DP that
+/// records choices: the first sub-partition in decreasing enumeration
+/// order wins a merge, and a grow takes only a strict gain, from the
+/// lowest predecessor node id.  The tree is a deterministic function of
+/// the net.  Requires net.degree() <= kExactMaxDegree.
 tree::RoutingTree exact_rsmt(const geom::Net& net);
 
 /// Heuristic RSMT: rectilinear MST followed by Steinerization and

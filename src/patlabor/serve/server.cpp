@@ -223,9 +223,18 @@ void Server::request_event_sink(obs::EventSink* sink) {
 
 void Server::note_client(const std::string& tag, std::uint64_t requests,
                          std::uint64_t bytes, std::uint64_t errors) {
+  bool overflow = false;
   {
     std::lock_guard<std::mutex> lock(clients_mu_);
-    ClientCounters& c = clients_[tag];
+    auto it = clients_.find(tag);
+    if (it == clients_.end()) {
+      const std::size_t named = clients_.size() - clients_.count({});
+      it = clients_.try_emplace(named < kMaxClientEntries ? tag
+                                                          : std::string())
+               .first;
+    }
+    overflow = it->first.empty();
+    ClientCounters& c = it->second;
     c.requests += requests;
     c.bytes += bytes;
     c.errors += errors;
@@ -234,7 +243,8 @@ void Server::note_client(const std::string& tag, std::uint64_t requests,
   // fits literal names): register through the registry directly.
   if (obs::enabled()) {
     obs::StatsRegistry& reg = obs::StatsRegistry::instance();
-    const std::string base = "serve.client." + tag;
+    const std::string base =
+        overflow ? std::string("serve.client_overflow") : "serve.client." + tag;
     if (requests != 0) reg.counter(base + ".requests").add(requests);
     if (bytes != 0) reg.counter(base + ".bytes").add(bytes);
     if (errors != 0) reg.counter(base + ".errors").add(errors);

@@ -139,6 +139,12 @@ class Server {
   };
   Stats stats() const;
 
+  /// Per-client usage is kept for the first kMaxClientEntries distinct
+  /// tags (explicit ones or "c<conn>").  Later tags share one overflow
+  /// entry: the empty tag in the stats frame, which admission never passes
+  /// on, and the serve.client_overflow.* registry family.
+  static constexpr std::size_t kMaxClientEntries = 64;
+
   /// The kStatsResponse payload: stats() plus queue depth, per-stage
   /// latency quantiles (from the serve.* histograms; zeros while recording
   /// is off) and per-client counters sorted by tag.
@@ -188,7 +194,8 @@ class Server {
                   const std::string& message, const std::string& tag = {});
   std::unique_ptr<engine::Engine> make_engine();
   /// Accumulates per-client usage (the stats frame + the dynamic
-  /// serve.client.<tag>.* registry counters).
+  /// serve.client.<tag>.* registry counters), bounded by
+  /// kMaxClientEntries.
   void note_client(const std::string& tag, std::uint64_t requests,
                    std::uint64_t bytes, std::uint64_t errors);
 

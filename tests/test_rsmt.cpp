@@ -175,7 +175,44 @@ TEST(ExactRsmt, SameTreesAsReferenceDp) {
       ++nets;
     }
   }
+  // The local-search seed regime: degrees 8-10 in tiny windows, where
+  // equal-cost partitions and predecessors are the rule.
+  for (std::size_t degree = 8; degree <= rsmt::kExactMaxDegree; ++degree) {
+    std::vector<Net> batch;
+    for (int i = 0; i < 20; ++i) {
+      batch.push_back(testing::random_net(rng, degree, 6, true));
+      batch.push_back(netgen::clustered_net(rng, degree, 20));
+    }
+    for (const Net& net : batch) {
+      const RoutingTree t = rsmt::exact_rsmt(net);
+      const RoutingTree ref = reference_exact_rsmt(net);
+      ASSERT_TRUE(t.validate().empty()) << t.validate();
+      EXPECT_EQ(t.structural_hash(), ref.structural_hash())
+          << "degree " << degree << ", net " << nets;
+      ++nets;
+    }
+  }
   EXPECT_GE(nets, 200);
+}
+
+TEST(ExactRsmt, GoldenDigest) {
+  // Pins the seed trees of the local-search regime (degrees 8-10) to a
+  // recorded digest, so any change in tie order shows.
+  util::Rng rng(2626);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  int nets = 0;
+  for (int rep = 0; rep < 35; ++rep) {
+    for (std::size_t degree = 8; degree <= rsmt::kExactMaxDegree; ++degree) {
+      for (const geom::Coord window : {20, 100000}) {
+        const Net net = netgen::clustered_net(rng, degree, window);
+        const RoutingTree t = rsmt::exact_rsmt(net);
+        h = (h ^ t.structural_hash()) * 0x100000001b3ULL;
+        ++nets;
+      }
+    }
+  }
+  EXPECT_GE(nets, 200);
+  EXPECT_EQ(h, 0xaa29b50abe2c5957ULL) << std::hex << "digest 0x" << h;
 }
 
 TEST(ExactRsmt, ThreePinsMedianSteiner) {

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -663,6 +664,41 @@ TEST(ServeObs, StatsFrameReportsTotalsStagesAndClients) {
   EXPECT_GE(stats.route.count, expect);
   EXPECT_GE(stats.write.count, expect);
   EXPECT_GE(stats.route.p99_us, stats.route.p50_us);
+  server.stop();
+}
+
+TEST(ServeObs, ClientFamiliesAreBounded) {
+  // Every short-lived untagged connection is a new "c<conn>" tag; past
+  // kMaxClientEntries they all fold into the one overflow entry.
+  obs::set_enabled(true);
+  constexpr std::size_t kMax = serve::Server::kMaxClientEntries;
+  constexpr std::size_t kExtra = 50;
+  auto client_families = [] {
+    std::set<std::string> families;
+    for (const auto& [name, value] :
+         obs::StatsRegistry::instance().snapshot().counters)
+      if (name.starts_with("serve.client") && name.ends_with(".requests"))
+        families.insert(name);
+    return families;
+  };
+  const std::set<std::string> before = client_families();
+  serve::Server server(base_options());
+  const geom::Net net = make_nets(47, 1)[0];
+  for (std::size_t i = 0; i < kMax + kExtra; ++i) {
+    serve::Client client(server.socket_path());
+    client.route(net, {});
+  }
+  const serve::WireStats stats = serve::Client(server.socket_path()).stats();
+  ASSERT_EQ(stats.clients.size(), kMax + 1);
+  EXPECT_EQ(stats.clients[0].tag, "");  // the overflow entry sorts first
+  EXPECT_EQ(stats.clients[0].requests, kExtra);
+  for (std::size_t i = 1; i <= kMax; ++i)
+    EXPECT_EQ(stats.clients[i].requests, 1u) << stats.clients[i].tag;
+  std::size_t added = 0;
+  for (const std::string& name : client_families())
+    added += before.count(name) == 0 ? 1 : 0;
+  EXPECT_LE(added, kMax + 1);
+  EXPECT_EQ(client_families().count("serve.client_overflow.requests"), 1u);
   server.stop();
 }
 

@@ -84,7 +84,8 @@ void print_stats(const serve::WireStats& s) {
   print_stage("write", s.write);
   for (const serve::WireClientStats& c : s.clients)
     std::printf("  client %-16s requests=%llu bytes=%llu errors=%llu\n",
-                c.tag.c_str(), static_cast<unsigned long long>(c.requests),
+                c.tag.empty() ? "(overflow)" : c.tag.c_str(),
+                static_cast<unsigned long long>(c.requests),
                 static_cast<unsigned long long>(c.bytes),
                 static_cast<unsigned long long>(c.errors));
 }
