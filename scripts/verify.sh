@@ -299,7 +299,7 @@ echo "== metric catalog lint: registered names documented in DESIGN.md =="
 scripts/check_metric_catalog.sh
 
 echo "== tier-1: build + ctest (frontier cache on and off) =="
-cmake -B build -S . -G Ninja
+cmake -B build -S .  # reuses the generator already in build/, if any
 cmake --build build -j
 (cd build && PATLABOR_CACHE=0 ctest --output-on-failure -j)
 (cd build && PATLABOR_CACHE=1 ctest --output-on-failure -j)

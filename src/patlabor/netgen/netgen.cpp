@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace patlabor::netgen {
 
@@ -48,13 +50,20 @@ Net smoothed_net(util::Rng& rng, std::size_t degree, double kappa,
 }
 
 Net clustered_net(util::Rng& rng, std::size_t degree, Coord window) {
+  const auto side = static_cast<double>(window) + 1.0;
+  if (static_cast<double>(degree) > side * side)
+    throw std::invalid_argument("clustered_net: " + std::to_string(degree) +
+                                " distinct pins do not fit a window of " +
+                                std::to_string(window));
   Net net;
   net.pins.reserve(degree);
   // Net extent: log-uniform between 2% and 60% of the window, mimicking the
-  // mix of short local nets and long global nets after placement.
+  // mix of short local nets and long global nets after placement; at least
+  // 16 (a no-op cap for windows of 16 and more), at most the window.
   const double frac = std::exp(rng.uniform_real(std::log(0.02), std::log(0.6)));
-  const auto extent = static_cast<Coord>(
-      std::max<double>(16.0, frac * static_cast<double>(window)));
+  const auto extent = std::min(
+      window, static_cast<Coord>(
+                  std::max<double>(16.0, frac * static_cast<double>(window))));
   const Coord ox = rng.uniform_int(0, window - extent);
   const Coord oy = rng.uniform_int(0, window - extent);
 

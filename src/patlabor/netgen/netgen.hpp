@@ -34,7 +34,9 @@ Net smoothed_net(util::Rng& rng, std::size_t degree, double kappa,
 
 /// ICCAD-like net: sinks fall into 1-3 spatial clusters inside a bbox with
 /// log-normal-ish extent; the source sits in or near one cluster.  This is
-/// the shape placed-and-routed nets actually have.
+/// the shape placed-and-routed nets actually have.  Pins lie in
+/// [0, window]²; throws std::invalid_argument when `degree` distinct pins
+/// cannot fit there.
 Net clustered_net(util::Rng& rng, std::size_t degree, Coord window = 100000);
 
 /// One synthesized design: a bag of nets following a per-degree profile.

@@ -6,6 +6,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <exception>
+#include <thread>
 
 namespace patlabor::serve {
 
@@ -120,6 +122,38 @@ std::pair<std::uint64_t, WireRouteResponse> Client::read_route_reply() {
     if (header.type != FrameType::kRouteResponse) continue;  // e.g. stale pong
     return {header.request_id, decode_route_response(payload)};
   }
+}
+
+std::vector<WireRouteResponse> Client::route_all(
+    const std::vector<geom::Net>& nets, const engine::RouteRequest& request) {
+  const std::uint64_t first = next_id_;  // ids are handed out in send order
+  std::exception_ptr send_failure;
+  std::thread sender([&] {
+    try {
+      for (const geom::Net& net : nets) send_route(net, request);
+    } catch (...) {
+      send_failure = std::current_exception();
+    }
+  });
+  std::vector<WireRouteResponse> out(nets.size());
+  std::vector<char> seen(nets.size(), 0);
+  try {
+    for (std::size_t got = 0; got < nets.size(); ++got) {
+      auto [id, response] = read_route_reply();
+      if (id < first || id - first >= nets.size() || seen[id - first] != 0)
+        throw std::runtime_error("serve: daemon answered unknown request id " +
+                                 std::to_string(id));
+      seen[id - first] = 1;
+      out[id - first] = std::move(response);
+    }
+  } catch (...) {
+    ::shutdown(fd_, SHUT_RDWR);  // unblocks a sender the daemon stopped reading
+    sender.join();
+    throw;
+  }
+  sender.join();
+  if (send_failure) std::rethrow_exception(send_failure);
+  return out;
 }
 
 WireRouteResponse Client::route(const geom::Net& net,

@@ -87,6 +87,13 @@ class Client {
   /// frame for a pending route request throws ServeError.
   std::pair<std::uint64_t, WireRouteResponse> read_route_reply();
 
+  /// Pipelines every net and returns the replies in net order.  Sends on
+  /// a second thread while this one reads: the daemon stops reading a
+  /// connection whose replies pile up unread, so a client that sent
+  /// everything before reading anything could wait forever.
+  std::vector<WireRouteResponse> route_all(
+      const std::vector<geom::Net>& nets, const engine::RouteRequest& request);
+
  private:
   /// Blocks for one frame; fills `header`, returns the payload bytes.
   std::vector<std::uint8_t> read_frame(FrameHeader& header);

@@ -6,7 +6,7 @@
 // a dump into obs::add_flush_hook so a crash / escaped exception leaves
 // the same artifact behind (DESIGN.md §6.3).
 //
-// Thread model: start() runs on reader threads, complete() on the
+// Thread model: start() runs on the I/O thread, complete() on the
 // dispatcher, dump()/snapshot() on any thread (signal loop, tests).
 // One mutex serializes all of it — every operation is O(1)-ish on small
 // structs, far off the routing hot path.  A dump is therefore atomic:

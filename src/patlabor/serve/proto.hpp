@@ -24,9 +24,10 @@
 // Payload scalars are little-endian fixed-width integers; doubles travel as
 // their IEEE-754 bit pattern in a u64; strings and arrays are a u32 count
 // followed by the elements.  Decoders validate every length against the
-// remaining payload and throw ProtoError (never read out of bounds), and
-// route-response decoding re-checks the staircase invariant before adopting
-// the frontier into a pareto::SolutionSet.
+// remaining payload and every pin coordinate against ±2^36, throw
+// ProtoError (never read out of bounds), and route-response decoding
+// re-checks the staircase invariant before adopting the frontier into a
+// pareto::SolutionSet.
 //
 // Versioning contract: the header layout (through payload_size) is frozen
 // forever; any payload change bumps kProtoVersion.  A server answering a

@@ -3,7 +3,7 @@
 //
 //   frame read complete -> admission enqueue -> dispatcher pop (queue
 //   wait) -> batch formation (batch id + occupancy) -> Engine::route_batch
-//   returns -> response frame written
+//   returns -> reply encoded and handed to the connection's outbox
 //
 // — so every request can explain where its latency went.  The struct is
 // the single source for all three surfacings (DESIGN.md §6.3): the
@@ -38,7 +38,7 @@ struct RequestTrace {
   std::uint64_t batch_id = 0;    ///< which coalesced batch served it
   std::size_t batch_size = 0;    ///< occupancy of that batch
   std::uint64_t routed_us = 0;   ///< Engine::route_batch returned
-  std::uint64_t written_us = 0;  ///< response frame written (or failed)
+  std::uint64_t written_us = 0;  ///< reply encoded, handed to the outbox
   bool error = false;            ///< answered with an error frame / dropped
 
   bool completed() const { return written_us != 0; }

@@ -1,5 +1,6 @@
 #include "patlabor/serve/server.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -23,37 +24,59 @@ namespace patlabor::serve {
 
 namespace {
 
-constexpr int kPollMs = 50;
-/// Polls a reader waits for the rest of a partially-received frame after
-/// drain began before giving the frame up as truncated (~2 s).
-constexpr int kDrainGracePolls = 40;
-
-/// Outcome of trying to read exactly n bytes from a connection.
-enum class ReadResult {
-  kOk,        ///< all n bytes read
-  kEof,       ///< peer closed before the first byte (clean frame boundary)
-  kTruncated, ///< peer closed (or drain grace expired) mid-read
-  kStopped,   ///< hard stop / idle drain: no frame in progress, exit loop
-};
+/// Outbox bytes above which the I/O thread stops reading a connection.
+/// A perfbench serve_mixed burst (8,000 replies of <= 137 bytes) stays
+/// under it even when nobody reads.
+constexpr std::size_t kOutboxCap = std::size_t{2} << 20;
+/// How long a partly read frame may take to complete once the drain
+/// began, and how long stop() then keeps writing outboxes.
+constexpr std::chrono::seconds kDrainGrace{2};
+constexpr std::size_t kReadChunk = std::size_t{64} << 10;  // bytes per recv
 
 }  // namespace
 
+/// A connection.  Everything but `dead` and `lane` is the I/O thread's.
 struct Server::Conn {
   int fd = -1;
   std::uint64_t id = 0;
-  std::mutex write_mu;
-  /// Writes must stop: the peer hung up, a write failed, or a protocol
-  /// error closed the connection.  NOT set on the drain exit — a reader
-  /// that stops reading leaves the connection open for the dispatcher's
-  /// in-flight responses.
-  std::atomic<bool> dead{false};
-  std::thread reader;
-  /// Virtual Chrome-trace lane of this connection (obs::alloc_lane),
-  /// allocated lazily on the first route request admitted with telemetry
-  /// on; 0 = none yet.
-  /// Written by the reader, read by the dispatcher: the admission queue
-  /// push/pop pair orders the accesses.
+  std::atomic<bool> dead{false};  ///< closed: replies to it count as errors
+  /// Chrome-trace lane (obs::alloc_lane), allocated by the I/O thread on
+  /// the first request admitted with telemetry on (0 = none yet); the
+  /// admission queue orders the dispatcher's reads after that write.
   std::uint32_t lane = 0;
+  std::vector<std::uint8_t> in;  ///< read buffer; the first in_len bytes
+  std::size_t in_len = 0;        ///< are data: at most one partial frame
+  std::string out;               ///< outbox: encoded frames to write
+  std::size_t out_sent = 0;      ///< prefix of `out` already written
+  bool blocked = false;          ///< the socket is full: await POLLOUT
+  bool closing = false;          ///< no more reads: close once `out` is out
+
+  std::size_t pending() const { return out.size() - out_sent; }
+
+  void flush() {
+    while (out_sent < out.size()) {
+      const ssize_t r = ::send(fd, out.data() + out_sent, pending(),
+                               MSG_NOSIGNAL);
+      if (r >= 0) {
+        out_sent += static_cast<std::size_t>(r);
+      } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        blocked = true;
+        if (2 * out_sent >= out.size())
+          out.erase(0, std::exchange(out_sent, 0));
+        return;
+      } else if (errno != EINTR) {
+        closing = true;  // the peer is gone: nobody reads the rest
+        break;
+      }
+    }
+    out.clear();
+    out_sent = 0;
+  }
+
+  void close() {
+    dead.store(true, std::memory_order_release);
+    ::close(std::exchange(fd, -1));
+  }
 };
 
 struct Server::Job {
@@ -78,6 +101,8 @@ Server::Server(ServerOptions options)
   sink_ = options_.engine.events;
   options_.engine.events = nullptr;
 
+  engine_ = make_engine();  // throws on a bad lut_path before serving
+
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (options_.socket_path.size() >= sizeof addr.sun_path)
@@ -86,28 +111,23 @@ Server::Server(ServerOptions options)
   std::memcpy(addr.sun_path, options_.socket_path.c_str(),
               options_.socket_path.size() + 1);
 
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  listen_fd_ =
+      ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0)
     throw std::runtime_error(std::string("serve: socket(): ") +
                              std::strerror(errno));
   ::unlink(options_.socket_path.c_str());  // stale socket from a dead server
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    throw std::runtime_error("serve: bind(" + options_.socket_path +
-                             "): " + std::strerror(err));
-  }
-  if (::listen(listen_fd_, 64) != 0) {
+             sizeof addr) != 0 ||
+      ::listen(listen_fd_, 64) != 0 ||
+      ::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
     const int err = errno;
     ::close(listen_fd_);
     ::unlink(options_.socket_path.c_str());
-    throw std::runtime_error(std::string("serve: listen(): ") +
-                             std::strerror(err));
+    throw std::runtime_error("serve: cannot listen on " +
+                             options_.socket_path + ": " + std::strerror(err));
   }
-
-  engine_ = make_engine();  // throws on a bad lut_path before serving
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  io_thread_ = std::thread([this] { io_loop(); });
   dispatch_thread_ = std::thread([this] { dispatch_loop(); });
 
   // Crash forensics: chain a flight-recorder dump into obs::flush_all()
@@ -128,16 +148,21 @@ Server::~Server() { stop(); }
 
 std::unique_ptr<engine::Engine> Server::make_engine() {
   auto eng = std::make_unique<engine::Engine>(options_.engine);
-  // open() maps the table read-only: startup pays no deserialization, N
-  // daemons share one physical copy, and a reload swaps to a fresh mapping
-  // of the (possibly replaced) file while the old one lives until its last
-  // in-flight batch drops it.
+  // open() maps the table read-only: N daemons share one physical copy,
+  // and a reload maps the (possibly replaced) file afresh.
   if (!options_.lut_path.empty())
     eng->adopt_table(lut::LookupTable::open(options_.lut_path));
   return eng;
 }
 
-void Server::begin_drain() { draining_.store(true, std::memory_order_release); }
+void Server::begin_drain() {
+  draining_.store(true, std::memory_order_release);
+  wake();
+}
+
+void Server::wake() {
+  [[maybe_unused]] const ssize_t r = ::write(wake_fds_[1], "", 1);
+}
 
 void Server::request_reload() {
   reload_requested_.store(true, std::memory_order_release);
@@ -145,15 +170,12 @@ void Server::request_reload() {
 }
 
 Server::Stats Server::stats() const {
-  Stats s;
-  s.connections = stat_connections_.load(std::memory_order_relaxed);
-  s.requests = stat_requests_.load(std::memory_order_relaxed);
-  s.responses = stat_responses_.load(std::memory_order_relaxed);
-  s.errors = stat_errors_.load(std::memory_order_relaxed);
-  s.batches = stat_batches_.load(std::memory_order_relaxed);
-  s.reloads = stat_reloads_.load(std::memory_order_relaxed);
-  s.in_flight = in_flight_.load(std::memory_order_relaxed);
-  return s;
+  const auto get = [](const auto& v) {
+    return v.load(std::memory_order_relaxed);
+  };
+  return {get(stat_connections_), get(stat_requests_), get(stat_responses_),
+          get(stat_errors_),      get(stat_batches_),  get(stat_reloads_),
+          get(in_flight_)};
 }
 
 namespace {
@@ -161,14 +183,12 @@ namespace {
 /// Quantile triple of one serve.* stage histogram; zeros when nothing was
 /// recorded (recording disabled or no traffic yet).
 WireStageStats stage_stats(const char* name) {
-  WireStageStats out;
   const obs::Histogram::Summary s =
       obs::StatsRegistry::instance().histogram(name).summary();
-  out.count = s.count;
-  out.p50_us = static_cast<std::uint64_t>(obs::histogram_quantile(s, 0.50));
-  out.p95_us = static_cast<std::uint64_t>(obs::histogram_quantile(s, 0.95));
-  out.p99_us = static_cast<std::uint64_t>(obs::histogram_quantile(s, 0.99));
-  return out;
+  const auto q = [&](double p) {
+    return static_cast<std::uint64_t>(obs::histogram_quantile(s, p));
+  };
+  return {s.count, q(0.50), q(0.95), q(0.99)};
 }
 
 }  // namespace
@@ -192,14 +212,8 @@ WireStats Server::wire_stats() const {
   s.write = stage_stats("serve.write_us");
   std::lock_guard<std::mutex> lock(clients_mu_);
   s.clients.reserve(clients_.size());
-  for (const auto& [tag, c] : clients_) {  // std::map: sorted by tag
-    WireClientStats w;
-    w.tag = tag;
-    w.requests = c.requests;
-    w.bytes = c.bytes;
-    w.errors = c.errors;
-    s.clients.push_back(std::move(w));
-  }
+  for (const auto& [tag, c] : clients_)  // std::map: sorted by tag
+    s.clients.push_back({tag, c.requests, c.bytes, c.errors});
   return s;
 }
 
@@ -259,189 +273,202 @@ void Server::stop() {
     obs::remove_flush_hook(flush_hook_token_);
     flush_hook_token_ = 0;
   }
-  begin_drain();
-
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // Readers: consume what clients already sent, then exit (see
-  // reader_loop's drain conditions).  Joining them freezes the queue.
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& conn : conns_)
-      if (conn->reader.joinable()) conn->reader.join();
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    dispatcher_stop_ = true;
-  }
-  queue_cv_.notify_all();
+  begin_drain();  // the I/O thread runs the drain and stops the dispatcher
+  if (io_thread_.joinable()) io_thread_.join();
   if (dispatch_thread_.joinable()) dispatch_thread_.join();
-
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& conn : conns_) close_conn(*conn);
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  for (int* fd : {&listen_fd_, &wake_fds_[0], &wake_fds_[1]})
+    if (*fd >= 0) ::close(std::exchange(*fd, -1));
   ::unlink(options_.socket_path.c_str());
   stopped_ = true;
 }
 
-void Server::accept_loop() {
-  // Accepts one pending connection if there is one; true = keep going.
-  const auto try_accept = [&]() -> bool {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    if (::poll(&pfd, 1, 0) <= 0) return false;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return errno == EINTR || errno == ECONNABORTED;
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
-    stat_connections_.fetch_add(1, std::memory_order_relaxed);
-    PL_COUNT("serve.connections", 1);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conn->id = next_conn_id_++;
-    conn->reader = std::thread([this, conn] { reader_loop(conn); });
-    conns_.push_back(std::move(conn));
-    return true;
+void Server::io_loop() {
+  using Clock = std::chrono::steady_clock;
+  // Serve; then, once draining: read partly read frames until the grace
+  // ends, route what is queued, write outboxes until the grace ends.
+  enum class Phase { kServe, kRead, kRoute, kFlush } phase = Phase::kServe;
+  Clock::time_point deadline{};
+  std::vector<std::pair<std::shared_ptr<Conn>, std::string>> replies;
+  std::vector<pollfd> fds;
+  const auto partial = [](const auto& c) {
+    return !c->closing && c->in_len != 0;
+  };
+  const auto readable = [&](const auto& c) {
+    return !c->closing && c->pending() <= kOutboxCap &&
+           (phase == Phase::kServe || (phase == Phase::kRead && partial(c)));
+  };
+  const auto accept_all = [&] {
+    for (;;) {
+      const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd < 0 && (errno == EINTR || errno == ECONNABORTED)) continue;
+      if (fd < 0) return;  // backlog empty (or out of descriptors)
+      conns_.push_back(std::make_shared<Conn>());
+      conns_.back()->fd = fd;
+      conns_.back()->id = next_conn_id_++;
+      stat_connections_.fetch_add(1, std::memory_order_relaxed);
+      PL_COUNT("serve.connections", 1);
+    }
   };
 
-  while (!draining_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, kPollMs);
-    if (pr < 0 && errno != EINTR) return;
-    if (pr > 0) try_accept();
+  for (;;) {
+    std::unique_lock<std::mutex> hold(replies_mu_);
+    replies.swap(replies_);
+    const bool routed_all = dispatcher_done_;
+    hold.unlock();
+    for (auto& [conn, frame] : replies)
+      if (conn->fd >= 0) conn->out += frame;
+    replies.clear();
+
+    const Clock::time_point now = Clock::now();
+    if (phase == Phase::kServe && draining_.load(std::memory_order_acquire)) {
+      // A client whose connect() succeeded is owed answers, and so is
+      // everything clients sent before the drain: sweep both.
+      accept_all();
+      for (const auto& conn : conns_)
+        while (readable(conn) && read_conn(conn) == kReadChunk) {
+        }
+      phase = Phase::kRead;
+      deadline = now + kDrainGrace;
+    }
+    if (phase == Phase::kRead &&
+        (now >= deadline ||
+         std::none_of(conns_.begin(), conns_.end(), partial))) {
+      for (const auto& conn : conns_)
+        if (partial(conn)) drop_partial(*conn);
+      {
+        std::lock_guard<std::mutex> lock(queue_mu_);
+        dispatcher_stop_ = true;
+      }
+      queue_cv_.notify_all();
+      phase = Phase::kRoute;
+    }
+    if (phase == Phase::kRoute && routed_all) {
+      phase = Phase::kFlush;
+      deadline = now + kDrainGrace;
+    }
+
+    for (const auto& conn : conns_) {
+      if (conn->pending() != 0 && !conn->blocked) conn->flush();
+      if (conn->closing && conn->pending() == 0) conn->close();
+    }
+    std::erase_if(conns_, [](const auto& c) { return c->fd < 0; });
+    if (phase == Phase::kFlush &&
+        (now >= deadline ||
+         std::all_of(conns_.begin(), conns_.end(),
+                     [](const auto& c) { return c->pending() == 0; })))
+      break;
+
+    const short accepting = phase == Phase::kServe ? POLLIN : 0;
+    fds.assign({{wake_fds_[0], POLLIN, 0}, {listen_fd_, accepting, 0}});
+    for (const auto& conn : conns_)
+      fds.push_back({conn->fd,
+                     static_cast<short>((readable(conn) ? POLLIN : 0) |
+                                        (conn->pending() != 0 ? POLLOUT : 0)),
+                     0});
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - now).count();
+    const bool timed = phase == Phase::kRead || phase == Phase::kFlush;
+    ::poll(fds.data(), fds.size(), timed ? static_cast<int>(left) : -1);
+
+    char drained[64];
+    if (fds[0].revents != 0)
+      while (::read(wake_fds_[0], drained, sizeof drained) > 0) {
+      }
+    for (std::size_t i = 2; i < fds.size(); ++i) {
+      const std::shared_ptr<Conn>& conn = conns_[i - 2];
+      if (fds[i].revents & POLLOUT) conn->blocked = false;
+      if (fds[i].revents & POLLIN) {
+        read_conn(conn);
+      } else if (fds[i].revents & (POLLHUP | POLLERR)) {
+        conn->closing = true;  // gone while not being read: drop its outbox
+        conn->out_sent = conn->out.size();
+      }
+    }
+    if (fds[1].revents & POLLIN) accept_all();
   }
-  // Drain: a client whose connect() already succeeded may still be sitting
-  // in the listen backlog, indistinguishable (to it) from an accepted
-  // connection — sweep the backlog so everything established before the
-  // drain began is owed an answer, then stop accepting for good.
-  while (try_accept()) {
-  }
+  for (const auto& conn : conns_) conn->close();
 }
 
-void Server::reader_loop(std::shared_ptr<Conn> conn) {
-  // Reads exactly n bytes.  `frame_started` selects the drain policy: an
-  // idle connection exits as soon as the drain begins, a partially-read
-  // frame gets a grace window to complete (the bytes are in flight).
-  const auto read_exact = [&](std::uint8_t* dst, std::size_t n,
-                              bool frame_started) -> ReadResult {
-    std::size_t got = 0;
-    int drain_polls = 0;
-    while (got < n) {
-      if (hard_stop_.load(std::memory_order_acquire))
-        return got == 0 && !frame_started ? ReadResult::kStopped
-                                          : ReadResult::kTruncated;
-      pollfd pfd{conn->fd, POLLIN, 0};
-      const int pr = ::poll(&pfd, 1, kPollMs);
-      if (pr < 0) {
-        if (errno == EINTR) continue;
-        return ReadResult::kTruncated;
-      }
-      if (pr == 0) {
-        if (!draining_.load(std::memory_order_acquire)) continue;
-        if (got == 0 && !frame_started) return ReadResult::kStopped;
-        if (++drain_polls >= kDrainGracePolls) return ReadResult::kTruncated;
-        continue;
-      }
-      const ssize_t r = ::recv(conn->fd, dst + got, n - got, 0);
-      if (r == 0)
-        return got == 0 && !frame_started ? ReadResult::kEof
-                                          : ReadResult::kTruncated;
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        return ReadResult::kTruncated;
-      }
-      got += static_cast<std::size_t>(r);
-    }
-    return ReadResult::kOk;
-  };
+std::size_t Server::read_conn(const std::shared_ptr<Conn>& conn_ptr) {
+  Conn& conn = *conn_ptr;
+  conn.in.resize(std::max(conn.in.size(), conn.in_len + kReadChunk));
+  const ssize_t r =
+      ::recv(conn.fd, conn.in.data() + conn.in_len, kReadChunk, 0);
+  if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))
+    return 0;
+  if (r <= 0) {
+    // EOF or a dead socket.  A partial frame gets no answer; the outbox is
+    // still written (the peer may only have shut down its sending side).
+    if (conn.in_len != 0) drop_partial(conn);
+    conn.closing = true;
+    return 0;
+  }
+  conn.in_len += static_cast<std::size_t>(r);
 
-  std::uint8_t head[kHeaderSize];
-  std::vector<std::uint8_t> payload;
-  for (;;) {
-    const ReadResult hr = read_exact(head, kHeaderSize, false);
-    if (hr == ReadResult::kStopped) return;  // drain: keep open for writes
-    if (hr == ReadResult::kEof) {
-      close_conn(*conn);  // clean hangup; drop any not-yet-written replies
-      return;
-    }
-    if (hr == ReadResult::kTruncated) {
-      // EOF mid-frame: nothing to answer (the peer is gone or out of
-      // contract); count it and drop the connection.
-      stat_errors_.fetch_add(1, std::memory_order_relaxed);
-      PL_COUNT("serve.truncated_frames", 1);
-      close_conn(*conn);
-      return;
-    }
-
+  std::size_t used = 0;
+  while (!conn.closing && conn.in_len - used >= kHeaderSize) {
+    const std::span<const std::uint8_t> rest(conn.in.data() + used,
+                                             conn.in_len - used);
     FrameHeader header;
     try {
-      header = decode_header(std::span<const std::uint8_t>(head, kHeaderSize));
+      header = decode_header(rest.first(kHeaderSize));
     } catch (const ProtoError& e) {
       // Bad magic / version: the stream cannot be resynchronized (or the
       // payload dialect is unknown) — answer once and close.
-      send_error(*conn, 0, e.code, e.what());
-      close_conn(*conn);
-      return;
+      conn.out += error_frame(conn, 0, e.code, e.what());
+      conn.closing = true;
+      break;
     }
     if (header.payload_size > options_.max_payload) {
-      send_error(*conn, header.request_id, ErrorCode::kOversizePayload,
-                 "payload of " + std::to_string(header.payload_size) +
-                     " bytes exceeds cap of " +
-                     std::to_string(options_.max_payload));
-      close_conn(*conn);  // reading past the cap would be the attack
-      return;
+      // Reading past the cap would be the attack: refuse and close.
+      conn.out += error_frame(
+          conn, header.request_id, ErrorCode::kOversizePayload,
+          "payload of " + std::to_string(header.payload_size) +
+              " bytes exceeds cap of " + std::to_string(options_.max_payload));
+      conn.closing = true;
+      break;
     }
-
-    payload.resize(header.payload_size);
-    if (read_exact(payload.data(), payload.size(), true) != ReadResult::kOk) {
-      stat_errors_.fetch_add(1, std::memory_order_relaxed);
-      PL_COUNT("serve.truncated_frames", 1);
-      close_conn(*conn);
-      return;
-    }
-    handle_frame(conn, header, payload);
-    if (conn->dead.load(std::memory_order_acquire)) return;
+    if (rest.size() - kHeaderSize < header.payload_size) break;
+    handle_frame(conn_ptr, header,
+                 rest.subspan(kHeaderSize, header.payload_size));
+    used += kHeaderSize + header.payload_size;
   }
+  conn.in_len = conn.closing ? 0 : conn.in_len - used;
+  std::memmove(conn.in.data(), conn.in.data() + used, conn.in_len);
+  return static_cast<std::size_t>(r);
 }
 
-void Server::close_conn(Conn& conn) {
-  // dead-before-close under the write mutex: a concurrent write_frame
-  // either finishes on the open fd first or observes dead and skips.
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  conn.dead.store(true, std::memory_order_release);
-  if (conn.fd >= 0) {
-    ::close(conn.fd);
-    conn.fd = -1;
-  }
+void Server::drop_partial(Conn& conn) {
+  stat_errors_.fetch_add(1, std::memory_order_relaxed);
+  PL_COUNT("serve.truncated_frames", 1);
+  conn.in_len = 0;
+  conn.closing = true;
 }
 
 void Server::handle_frame(const std::shared_ptr<Conn>& conn_ptr,
                           const FrameHeader& header,
                           std::span<const std::uint8_t> payload) {
   Conn& conn = *conn_ptr;
+  const auto refuse = [&](ErrorCode code, const std::string& why,
+                          const std::string& tag = {}) {
+    conn.out += error_frame(conn, header.request_id, code, why, tag);
+  };
   switch (header.type) {
     case FrameType::kPing:
-      write_frame(conn, encode_empty(FrameType::kPong, header.request_id));
+      conn.out += encode_empty(FrameType::kPong, header.request_id);
       return;
-    case FrameType::kMetricsRequest: {
-      const std::string text =
-          obs::expose_text(obs::StatsRegistry::instance().snapshot());
-      write_frame(conn, encode_text(FrameType::kMetricsResponse,
-                                    header.request_id, text));
+    case FrameType::kMetricsRequest:
+      conn.out += encode_text(
+          FrameType::kMetricsResponse, header.request_id,
+          obs::expose_text(obs::StatsRegistry::instance().snapshot()));
       return;
-    }
     case FrameType::kReloadRequest:
       request_reload();
-      write_frame(conn,
-                  encode_empty(FrameType::kReloadResponse, header.request_id));
+      conn.out += encode_empty(FrameType::kReloadResponse, header.request_id);
       return;
     case FrameType::kStatsRequest:
-      write_frame(conn,
-                  encode_stats_response(header.request_id, wire_stats()));
+      conn.out += encode_stats_response(header.request_id, wire_stats());
       return;
     case FrameType::kRouteRequest: {
       // Stamp "frame read complete" before decode: the wire cost of the
@@ -453,7 +480,7 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn_ptr,
       } catch (const ProtoError& e) {
         // Framing is intact (the length prefix was honored), so the
         // connection survives a malformed payload.
-        send_error(conn, header.request_id, e.code, e.what());
+        refuse(e.code, e.what());
         return;
       }
       // Per-client tagging: an explicit client tag wins, else the
@@ -465,22 +492,19 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn_ptr,
       try {
         engine::parse_method(wire.request.method);
       } catch (const std::invalid_argument& e) {
-        send_error(conn, header.request_id, ErrorCode::kBadRequest, e.what(),
-                   tag);
+        refuse(ErrorCode::kBadRequest, e.what(), tag);
         return;
       }
       if (wire.net.degree() < 2) {
-        send_error(conn, header.request_id, ErrorCode::kBadRequest,
-                   "net needs at least 2 pins (source + sink)", tag);
+        refuse(ErrorCode::kBadRequest,
+               "net needs at least 2 pins (source + sink)", tag);
         return;
       }
       if (wire.lambda != 0 && wire.lambda != options_.engine.lambda) {
-        send_error(conn, header.request_id, ErrorCode::kBadRequest,
-                   "server runs lambda=" +
-                       std::to_string(options_.engine.lambda) +
-                       ", request pinned lambda=" +
-                       std::to_string(wire.lambda),
-                   tag);
+        refuse(ErrorCode::kBadRequest,
+               "server runs lambda=" + std::to_string(options_.engine.lambda) +
+                   ", request pinned lambda=" + std::to_string(wire.lambda),
+               tag);
         return;
       }
       Job job;
@@ -514,9 +538,9 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn_ptr,
       return;
     }
     default:
-      send_error(conn, header.request_id, ErrorCode::kUnknownType,
-                 "unknown frame type " +
-                     std::to_string(static_cast<unsigned>(header.type)));
+      refuse(ErrorCode::kUnknownType,
+             "unknown frame type " +
+                 std::to_string(static_cast<unsigned>(header.type)));
       return;
   }
 }
@@ -526,7 +550,7 @@ void Server::dispatch_loop() {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait_for(lock, std::chrono::milliseconds(kPollMs), [&] {
+      queue_cv_.wait(lock, [&] {
         return !queue_.empty() || dispatcher_stop_ ||
                reload_requested_.load(std::memory_order_acquire) ||
                sink_swap_requested_.load(std::memory_order_acquire);
@@ -553,20 +577,25 @@ void Server::dispatch_loop() {
         lock.lock();
       }
       if (queue_.empty()) {
-        if (dispatcher_stop_) return;
+        if (dispatcher_stop_) break;
         continue;
       }
-      const std::size_t take = std::min(queue_.size(), options_.max_batch);
+      const auto end =
+          queue_.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(queue_.size(), options_.max_batch));
       batch.assign(std::make_move_iterator(queue_.begin()),
-                   std::make_move_iterator(queue_.begin() +
-                                           static_cast<std::ptrdiff_t>(take)));
-      queue_.erase(queue_.begin(),
-                   queue_.begin() + static_cast<std::ptrdiff_t>(take));
+                   std::make_move_iterator(end));
+      queue_.erase(queue_.begin(), end);
       PL_GAUGE_SET("serve.queue_depth", queue_.size());
     }
     dispatch_batch(batch);
     batch.clear();
   }
+  {
+    std::lock_guard<std::mutex> lock(replies_mu_);
+    dispatcher_done_ = true;
+  }
+  wake();
 }
 
 void Server::dispatch_batch(std::vector<Job>& jobs) {
@@ -575,6 +604,9 @@ void Server::dispatch_batch(std::vector<Job>& jobs) {
   stat_batches_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t batch_id = ++next_batch_id_;
 
+  // Batch formation: every member left the queue and joined this batch at
+  // the same instant (one clock read — queue wait ends here for all).
+  const std::uint64_t dequeued = obs::now_us();
   std::vector<geom::Net> nets;
   std::vector<engine::RouteRequest> requests;
   nets.reserve(jobs.size());
@@ -582,12 +614,6 @@ void Server::dispatch_batch(std::vector<Job>& jobs) {
   for (Job& job : jobs) {
     nets.push_back(std::move(job.net));
     requests.push_back(job.request);
-  }
-
-  // Batch formation: every member left the queue and joined this batch at
-  // the same instant (one clock read — queue wait ends here for all).
-  const std::uint64_t dequeued = obs::now_us();
-  for (Job& job : jobs) {
     job.trace.dequeue_us = dequeued;
     job.trace.batch_id = batch_id;
     job.trace.batch_size = jobs.size();
@@ -609,29 +635,39 @@ void Server::dispatch_batch(std::vector<Job>& jobs) {
   PL_HIST("serve.batch_wall_us", wall_us);
   const std::uint64_t routed = obs::now_us();
 
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    Job& job = jobs[i];
-    if (job.conn == nullptr) continue;
+  // Encode every reply, then hand the batch's replies to the I/O thread
+  // with one wake; `written_us` closes each request at the handoff.
+  std::vector<std::pair<std::shared_ptr<Conn>, std::string>> replies;
+  replies.reserve(jobs.size());
+  for (Job& job : jobs) {
     job.trace.routed_us = routed;
     if (!failure.empty()) {
       job.trace.error = true;
-      send_error(*job.conn, job.request_id, ErrorCode::kInternal, failure,
-                 job.request.tag);
+      replies.emplace_back(job.conn, error_frame(*job.conn, job.request_id,
+                                                 ErrorCode::kInternal, failure,
+                                                 job.request.tag));
+    } else if (job.conn->dead.load(std::memory_order_acquire)) {
+      job.trace.error = true;  // the client hung up: nobody to answer
+      stat_errors_.fetch_add(1, std::memory_order_relaxed);
+      note_client(job.request.tag, 0, 0, 1);
     } else {
-      const std::string frame =
-          encode_route_response(job.request_id, responses[i], wall_us);
-      if (write_frame(*job.conn, frame)) {
-        stat_responses_.fetch_add(1, std::memory_order_relaxed);
-        PL_COUNT("serve.responses", 1);
-        note_client(job.request.tag, 0, frame.size(), 0);
-      } else {
-        job.trace.error = true;
-        stat_errors_.fetch_add(1, std::memory_order_relaxed);
-        note_client(job.request.tag, 0, 0, 1);
-      }
+      std::string frame = encode_route_response(
+          job.request_id, responses[&job - jobs.data()], wall_us);
+      stat_responses_.fetch_add(1, std::memory_order_relaxed);
+      PL_COUNT("serve.responses", 1);
+      note_client(job.request.tag, 0, frame.size(), 0);
+      replies.emplace_back(job.conn, std::move(frame));
     }
+  }
+  {
+    std::lock_guard<std::mutex> lock(replies_mu_);
+    for (auto& reply : replies) replies_.push_back(std::move(reply));
+  }
+  wake();
+  const std::uint64_t written = obs::now_us();
+  for (Job& job : jobs) {
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    job.trace.written_us = obs::now_us();
+    job.trace.written_us = written;
     PL_HIST("serve.queue_wait_us", job.trace.queue_wait_us());
     PL_HIST("serve.route_us", job.trace.route_us());
     PL_HIST("serve.write_us", job.trace.write_us());
@@ -639,20 +675,19 @@ void Server::dispatch_batch(std::vector<Job>& jobs) {
       flight_.complete(job.trace);
       // The connection's Chrome-trace lane: the whole request at depth 0,
       // its three stages as children.
-      const std::uint32_t lane = job.conn->lane;
       const RequestTrace& t = job.trace;
-      obs::record_span_in_lane(lane, "serve.request", t.enqueue_us,
-                               t.written_us - t.enqueue_us, 0);
-      obs::record_span_in_lane(lane, "serve.queue_wait", t.enqueue_us,
-                               t.queue_wait_us(), 1);
-      obs::record_span_in_lane(lane, "serve.route", t.dequeue_us,
-                               t.route_us(), 1);
-      obs::record_span_in_lane(lane, "serve.write", t.routed_us,
-                               t.write_us(), 1);
+      const auto span = [&](const char* name, std::uint64_t at,
+                            std::uint64_t us, int depth) {
+        obs::record_span_in_lane(job.conn->lane, name, at, us, depth);
+      };
+      span("serve.request", t.enqueue_us, t.written_us - t.enqueue_us, 0);
+      span("serve.queue_wait", t.enqueue_us, t.queue_wait_us(), 1);
+      span("serve.route", t.dequeue_us, t.route_us(), 1);
+      span("serve.write", t.routed_us, t.write_us(), 1);
     }
   }
 
-  // Emission, in admission order, after the writes so the events carry
+  // Emission, in admission order, after the handoff so the events carry
   // the complete lifecycle.  index=kNoIndex lets the sink stamp its own
   // emission sequence — the same indices a direct Engine::route_batch of
   // the same nets would produce, which is what the daemon/direct parity
@@ -671,29 +706,13 @@ void Server::dispatch_batch(std::vector<Job>& jobs) {
   }
 }
 
-bool Server::write_frame(Conn& conn, const std::string& bytes) {
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  if (conn.dead.load(std::memory_order_acquire) || conn.fd < 0) return false;
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t r = ::send(conn.fd, bytes.data() + sent,
-                             bytes.size() - sent, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      conn.dead.store(true, std::memory_order_release);
-      return false;
-    }
-    sent += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-void Server::send_error(Conn& conn, std::uint64_t request_id, ErrorCode code,
-                        const std::string& message, const std::string& tag) {
+std::string Server::error_frame(const Conn& conn, std::uint64_t request_id,
+                                ErrorCode code, const std::string& message,
+                                const std::string& tag) {
   stat_errors_.fetch_add(1, std::memory_order_relaxed);
   PL_COUNT("serve.errors", 1);
   note_client(tag.empty() ? "c" + std::to_string(conn.id) : tag, 0, 0, 1);
-  write_frame(conn, encode_error(request_id, code, message));
+  return encode_error(request_id, code, message);
 }
 
 }  // namespace patlabor::serve

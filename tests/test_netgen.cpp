@@ -71,6 +71,25 @@ TEST(Netgen, ClusteredNetIsInWindowWithExactDegree) {
   }
 }
 
+TEST(Netgen, ClusteredNetFitsWindowsSmallerThanItsMinimumExtent) {
+  // The 16-unit extent floor used to exceed such windows: the draw never
+  // returned.  Now the extent is capped at the window.
+  util::Rng rng(115);
+  const Net net = netgen::clustered_net(rng, 8, 6);
+  ASSERT_EQ(net.degree(), 8u);
+  std::set<std::pair<geom::Coord, geom::Coord>> distinct;
+  for (const auto& p : net.pins) {
+    EXPECT_GE(p.x, 0);
+    EXPECT_LE(p.x, 6);
+    EXPECT_GE(p.y, 0);
+    EXPECT_LE(p.y, 6);
+    distinct.insert({p.x, p.y});
+  }
+  EXPECT_EQ(distinct.size(), 8u);
+  // 7 x 7 = 49 distinct points: a 50-pin net cannot exist there.
+  EXPECT_THROW(netgen::clustered_net(rng, 50, 6), std::invalid_argument);
+}
+
 TEST(Netgen, Iccad15ProfileShape) {
   const auto profile = netgen::iccad15_profile();
   ASSERT_EQ(profile.size(), 8u);  // eight superblue designs

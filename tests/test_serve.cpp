@@ -5,7 +5,9 @@
 // reload — and the observability surface: per-client tag attribution and
 // daemon/direct parity of the event stream, the kStatsRequest wire frame,
 // per-stage latency attribution against the client-observed wall, the
-// flight recorder dump, and the SIGUSR1 metrics dump.
+// flight recorder dump, and the SIGUSR1 metrics dump — and the I/O
+// thread: frames split or packed arbitrarily across reads, mutated
+// streams, a client that never reads, and idle connections.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -16,6 +18,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -128,6 +131,8 @@ class RawConn {
   bool at_eof() { return read_up_to(1).empty(); }
 
   void shutdown_write() { ::shutdown(fd_, SHUT_WR); }
+
+  int fd() const { return fd_; }
 
  private:
   int fd_ = -1;
@@ -347,6 +352,99 @@ TEST(ServeFraming, MalformedPayloadAnsweredPerRequestConnectionSurvives) {
   EXPECT_EQ(raw.read_frame().first.type, serve::FrameType::kPong);
 }
 
+/// A route reply re-encoded at wall 0: comparable byte for byte with a
+/// direct Engine response encoded the same way.
+std::string reencode(std::uint64_t id, std::span<const std::uint8_t> payload) {
+  const serve::WireRouteResponse r = serve::decode_route_response(payload);
+  engine::RouteResponse local;
+  local.frontier = r.frontier;
+  local.iterations = r.iterations;
+  local.cache_hit = r.cache_hit;
+  return serve::encode_route_response(id, local, 0);
+}
+
+TEST(ServeFraming, FramesSplitByteWiseOrPackedInOneSendAnsweredLikeDirect) {
+  serve::ServerOptions options = base_options();
+  options.engine.cache.enabled = false;  // answers independent of order
+  serve::Server server(options);
+  const engine::Engine direct(options.engine);
+  const std::vector<geom::Net> nets = make_nets(79, 201);
+  const auto expect = [&](std::uint64_t id) {
+    return serve::encode_route_response(id, direct.route(nets[id - 1]), 0);
+  };
+
+  {  // one route frame, one byte per send()
+    RawConn raw(server.socket_path());
+    serve::WireRouteRequest req;
+    req.net = nets[0];
+    for (const char byte : serve::encode_route_request(1, req))
+      raw.send_all(std::string(1, byte));
+    auto [header, payload] = raw.read_frame();
+    ASSERT_EQ(header.type, serve::FrameType::kRouteResponse);
+    EXPECT_EQ(reencode(header.request_id, payload), expect(1));
+  }
+
+  RawConn raw(server.socket_path());  // 200 frames in a single send()
+  std::string stream;
+  for (std::uint64_t id = 2; id <= nets.size(); ++id) {
+    serve::WireRouteRequest req;
+    req.net = nets[id - 1];
+    stream += serve::encode_route_request(id, req);
+  }
+  ASSERT_EQ(::send(raw.fd(), stream.data(), stream.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(stream.size()));
+  std::set<std::uint64_t> answered;
+  for (std::size_t i = 1; i < nets.size(); ++i) {
+    auto [header, payload] = raw.read_frame();
+    ASSERT_EQ(header.type, serve::FrameType::kRouteResponse);
+    EXPECT_EQ(reencode(header.request_id, payload), expect(header.request_id))
+        << header.request_id;
+    answered.insert(header.request_id);
+  }
+  EXPECT_EQ(answered.size(), nets.size() - 1);
+}
+
+TEST(ServeFraming, MutatedStreamsAreAnsweredOrClosed) {
+  // Flip, truncate and splice valid frame streams: for every stream the
+  // server answers what it can and closes the connection, and it keeps
+  // serving everyone else.
+  serve::Server server(base_options());
+  const std::vector<geom::Net> nets = make_nets(83, 3);
+  std::string valid;
+  for (std::uint64_t i = 0; i < nets.size(); ++i) {
+    serve::WireRouteRequest req;
+    req.net = nets[i];
+    req.request.tag = "fuzz";
+    valid += serve::encode_route_request(2 * i + 1, req);
+    valid += serve::encode_empty(i == 1 ? serve::FrameType::kStatsRequest
+                                        : serve::FrameType::kPing,
+                                 2 * i + 2);
+  }
+  util::Rng rng(2027);
+  const auto cut = [&] { return rng.index(valid.size() + 1); };
+  for (int s = 0; s < 300; ++s) {
+    std::string stream = valid;
+    if (s % 3 == 0) {
+      for (std::size_t k = 1 + rng.index(4); k > 0; --k)
+        stream[rng.index(stream.size())] ^=
+            static_cast<char>(1 + rng.index(255));
+    } else if (s % 3 == 1) {
+      stream.resize(cut());
+    } else {
+      stream = valid.substr(0, cut()) + valid.substr(cut());
+    }
+    RawConn raw(server.socket_path());
+    raw.send_all(stream);
+    raw.shutdown_write();
+    while (raw.read_up_to(4096).size() == 4096) {
+    }
+  }
+  serve::Client good(server.socket_path());
+  engine::EngineOptions eopt = base_options().engine;
+  EXPECT_EQ(good.route(nets[0], {}).frontier,
+            engine::Engine(eopt).route(nets[0]).frontier);
+}
+
 // ---- server: admission validation ----------------------------------------
 
 TEST(ServeAdmission, BadMethodLambdaMismatchAndDegenerateNetRefused) {
@@ -379,7 +477,12 @@ TEST(ServeAdmission, BadMethodLambdaMismatchAndDegenerateNetRefused) {
   degenerate.pins = {{0, 0}};
   EXPECT_THROW(client.route(degenerate, {}), serve::ServeError);
 
-  // The connection survived all three refusals.
+  // Coordinates whose sums could overflow the router's int64 lengths.
+  geom::Net far = net;
+  far.pins.back().x = std::int64_t{1} << 60;
+  EXPECT_THROW(client.route(far, {}), serve::ServeError);
+
+  // The connection survived all four refusals.
   engine::EngineOptions eopt;
   eopt.lambda = 7;
   eopt.table = &shared_table();
@@ -577,6 +680,96 @@ TEST(Serve, StalePathReboundAndUnlinkedOnStop) {
   client.ping();
   second.stop();
   EXPECT_NE(::access(options.socket_path.c_str(), F_OK), 0);
+}
+
+TEST(Serve, SlowReaderDoesNotStallOthers) {
+  // A client pipelines requests and reads none.  Its replies pile up in
+  // its own outbox until the server stops reading it; everyone else is
+  // still served, and stop() does not wait for it to read.
+  serve::Server server(base_options());
+  // The degree-5 net with the most frontier points of a few hundred: big
+  // replies fill the outbox fast.
+  engine::EngineOptions eopt = base_options().engine;
+  const engine::Engine direct(eopt);
+  util::Rng rng(5);
+  geom::Net net = netgen::clustered_net(rng, 5);
+  for (int i = 0; i < 600; ++i) {
+    geom::Net other = netgen::clustered_net(rng, 5);
+    if (direct.route(other).frontier.size() > direct.route(net).frontier.size())
+      net = std::move(other);
+  }
+  const std::size_t reply =
+      serve::encode_route_response(0, direct.route(net), 0).size();
+
+  // The first kFirst replies come to 3 MiB, over the 2 MiB outbox cap even
+  // after the kernel's socket buffer took its share.  The last 10,000
+  // requests go out once those are answered (or never, if the cap already
+  // stopped the reading), so they meet a connection nobody reads.
+  const std::size_t kFirst =
+      std::max<std::size_t>(20000, (std::size_t{3} << 20) / reply + 1);
+  const std::size_t kFlood = kFirst + 10000;
+  serve::Client bad(server.socket_path());
+  std::atomic<bool> stopping{false};
+  std::thread flood([&] {
+    try {
+      for (std::size_t i = 0; i < kFlood; ++i) {
+        while (i == kFirst && !stopping.load() &&
+               server.stats().responses < kFirst)
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        bad.send_route(net, {});
+      }
+    } catch (const std::exception&) {
+      // stop() closed the connection under a blocked send.
+    }
+  });
+  // Settled: no request admitted and none in flight for 200 ms.
+  std::uint64_t admitted = 0;
+  for (int quiet = 0, spin = 0; quiet < 20 && spin < 3000; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const serve::Server::Stats s = server.stats();
+    quiet = s.requests == admitted && s.in_flight == 0 ? quiet + 1 : 0;
+    admitted = s.requests;
+  }
+  EXPECT_LT(admitted, kFlood);  // backpressure: the rest was never read
+
+  serve::Client good(server.socket_path());
+  const std::vector<geom::Net> nets = make_nets(89, 4);
+  std::vector<double> ms;
+  for (int i = 0; i < 200; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const serve::WireRouteResponse r = good.route(nets[i % nets.size()], {});
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+    EXPECT_GT(r.frontier.size(), 0u);
+  }
+  std::sort(ms.begin(), ms.end());
+  EXPECT_LT(ms[197], 250.0) << "p99 of the good client's round trips";
+
+  const auto t0 = std::chrono::steady_clock::now();
+  stopping = true;
+  server.stop();  // the bad client still holds its connection
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+  flood.join();
+}
+
+TEST(Serve, IdleConnectionsAddNoThreads) {
+  const auto threads = [] {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return std::distance(begin(tasks), end(tasks));
+  };
+  serve::Server server(base_options());
+  serve::Client probe(server.socket_path());
+  probe.ping();
+  const auto before = threads();
+  std::vector<std::unique_ptr<RawConn>> idle;
+  for (int i = 0; i < 64; ++i)
+    idle.push_back(std::make_unique<RawConn>(server.socket_path()));
+  for (int i = 0; i < 2000 && server.stats().connections < 65; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(server.stats().connections, 65u);
+  EXPECT_EQ(threads(), before);
+  probe.ping();
 }
 
 // ---- service observability ------------------------------------------------

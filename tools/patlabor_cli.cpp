@@ -60,7 +60,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -255,19 +254,8 @@ int route_remote(const std::string& socket_path, const std::string& in,
   const std::vector<geom::Net> nets = io::read_nets(in);
   util::Timer timer;
 
-  std::map<std::uint64_t, std::size_t> id_to_index;
-  for (std::size_t n = 0; n < nets.size(); ++n)
-    id_to_index[client.send_route(nets[n], request)] = n;
-  std::vector<serve::WireRouteResponse> responses(nets.size());
-  for (std::size_t pending = nets.size(); pending > 0; --pending) {
-    auto [id, response] = client.read_route_reply();
-    const auto it = id_to_index.find(id);
-    if (it == id_to_index.end())
-      throw std::runtime_error("daemon answered unknown request id " +
-                               std::to_string(id));
-    responses[it->second] = std::move(response);
-    id_to_index.erase(it);
-  }
+  const std::vector<serve::WireRouteResponse> responses =
+      client.route_all(nets, request);
 
   std::unique_ptr<io::CsvWriter> csv;
   if (!csv_path.empty())
