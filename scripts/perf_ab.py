@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """A/B comparison of two checkouts on one perfbench workload.
 
-    scripts/perf_ab.py <dirA> <dirB> --workload <name> --pairs <n>
+    scripts/perf_ab.py <dirA> <dirB> --workload <name> --pairs <n> [--seed <s>]
 
-Runs `python3 perfbench/run.py --workload <name> --seed 1 --seconds 10
---trace 0` in each checkout, <n> times each, alternating which side goes
+Runs `python3 perfbench/run.py --workload <name> --seed <s> --seconds 10
+--trace 0` (seed 1 by default) in each checkout, <n> times each, alternating which side goes
 first.  Then prints, for every end-to-end metric that BENCHMARK.json
 declares, each side's median and interquartile range (IQR), and in how
 many of the pairs B was better.  Exits 1 when any run fails, reports
@@ -21,10 +21,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run(checkout, workload):
+def run(checkout, workload, seed):
     """One perfbench run in `checkout`; returns its JSON result or None."""
-    cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", "1",
-           "--seconds", "10", "--trace", "0"]
+    cmd = ["python3", "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", "10", "--trace", "0"]
     r = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = r.stdout.strip().splitlines()
     try:
@@ -50,6 +50,8 @@ def main():
     ap.add_argument("dir_b")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=6)
+    ap.add_argument("--seed", type=int, default=1,
+                    help="workload seed passed to run.py (default 1)")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -61,7 +63,7 @@ def main():
     for i in range(args.pairs):
         order = ("A", "B") if i % 2 == 0 else ("B", "A")
         for side in order:
-            result = run(sides[side], args.workload)
+            result = run(sides[side], args.workload, args.seed)
             if result is None:
                 return 1
             if not result.get("correct") or result.get("failed", 0) != 0:
@@ -72,7 +74,7 @@ def main():
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)",
               file=sys.stderr, flush=True)
 
-    print(f"workload {args.workload}, {args.pairs} pairs; "
+    print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs; "
           f"A = {sides['A']}, B = {sides['B']}")
     print(f"{'metric':<16} {'A median':>12} {'A IQR':>10} {'B median':>12} "
           f"{'B IQR':>10} {'change':>8}  B better")

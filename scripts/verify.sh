@@ -17,8 +17,9 @@
 # exact RSMT's flat DP tables, the arena-backed DW solvers, the
 # SolutionSet filter and the Lemma-1 prover's fraction-free integer
 # simplex (UBSan watches it for signed overflow; test_exactlp checks it
-# against the rational reference, test_properties runs that reference),
-# then a ThreadSanitizer pass over
+# against the rational reference, test_properties runs that reference)
+# and the one-pass net-file reader (test_eval_io checks it on mutated
+# files against the kept line-by-line reference), then a ThreadSanitizer pass over
 # the parallel execution layer (par/, including the shared-counter
 # scheduler and the pool timeline/TimedMutex instrumentation),
 # observability (obs/) and service (serve/) tests.
@@ -354,12 +355,12 @@ echo "== obsdiff gate: self-compare + perturbed seed =="
 )
 
 if [[ $run_asan -eq 1 ]]; then
-  echo "== ASan+UBSan: tree / refine / rsmt / dw / lut / pareto / exactlp / serve tests =="
+  echo "== ASan+UBSan: tree / refine / rsmt / dw / lut / pareto / exactlp / serve / io tests =="
   cmake -B build-asan -S . -G Ninja -DPATLABOR_ASAN=ON
   cmake --build build-asan -j \
     --target test_tree test_refine test_rsmt test_dw test_lut \
     test_lut_format test_pareto test_exactlp test_properties test_core \
-    test_serve
+    test_serve test_eval_io
   (
     cd build-asan
     export ASAN_OPTIONS="detect_leaks=1:halt_on_error=1"
@@ -375,6 +376,7 @@ if [[ $run_asan -eq 1 ]]; then
     ./tests/test_lut_format
     ./tests/test_core
     ./tests/test_serve
+    ./tests/test_eval_io
   )
 fi
 

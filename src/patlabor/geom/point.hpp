@@ -16,6 +16,16 @@ using Coord = std::int64_t;
 /// Wirelength / delay value type.
 using Length = std::int64_t;
 
+/// Largest |coordinate| a net read from outside (a net file, a daemon
+/// request) may carry: 2^36.  The router's int64 length sums of any net
+/// of up to 2^20 pins stay far from overflow under it.
+inline constexpr Coord kMaxCoord = Coord{1} << 36;
+
+/// True iff `c` lies within [-kMaxCoord, kMaxCoord].
+constexpr bool within_coord_bound(Coord c) {
+  return c >= -kMaxCoord && c <= kMaxCoord;
+}
+
 /// A point in the plane.
 struct Point {
   Coord x = 0;

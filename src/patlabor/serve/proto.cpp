@@ -1,6 +1,5 @@
 #include "patlabor/serve/proto.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -16,9 +15,6 @@ constexpr std::uint32_t kMaxStringLen = 1u << 20;
 constexpr std::uint32_t kMaxPins = 1u << 20;
 constexpr std::uint32_t kMaxParams = 1u << 10;
 constexpr std::uint32_t kMaxFrontier = 1u << 20;
-/// |pin coordinate| cap: the router's int64 length sums of any net under
-/// kMaxPins stay far from overflow.
-constexpr std::int64_t kMaxCoord = std::int64_t{1} << 36;
 
 class WireWriter {
  public:
@@ -213,7 +209,7 @@ WireRouteRequest decode_route_request(std::span<const std::uint8_t> payload) {
     geom::Point p;
     p.x = r.i64();
     p.y = r.i64();
-    if (std::max(p.x, p.y) > kMaxCoord || std::min(p.x, p.y) < -kMaxCoord)
+    if (!geom::within_coord_bound(p.x) || !geom::within_coord_bound(p.y))
       throw ProtoError(ErrorCode::kBadPayload, "pin coordinate beyond 2^36");
     req.net.pins.push_back(p);
   }
