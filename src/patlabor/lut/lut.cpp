@@ -1,12 +1,17 @@
 #include "patlabor/lut/lut.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <numeric>
+#include <optional>
+#include <span>
+#include <utility>
 
 #include "patlabor/dw/pareto_dw.hpp"
 #include "patlabor/lut/lut_format.hpp"
 #include "patlabor/obs/obs.hpp"
+#include "patlabor/par/worker_context.hpp"
 #include "patlabor/util/timer.hpp"
 
 namespace patlabor::lut {
@@ -193,6 +198,7 @@ void LookupTable::merge_pattern(const PinPattern& pat,
     keyed.source = static_cast<std::uint8_t>(s);
     const Canonical cj = canonical_joint(keyed);
     if (builder.contains(cj.code)) continue;  // symmetric source duplicate
+    const geom::Isometry iso = rank_isometry(cj.transform, degree);
     stored.clear();
     stored.reserve(sols.per_source[static_cast<std::size_t>(s)].size());
     for (const RankTopology& topo :
@@ -200,8 +206,7 @@ void LookupTable::merge_pattern(const PinPattern& pat,
       RankTopology t;
       t.edges.reserve(topo.edges.size());
       for (const auto& [a, b] : topo.edges)
-        t.edges.emplace_back(transform_point(a, cj.transform, degree),
-                             transform_point(b, cj.transform, degree));
+        t.edges.emplace_back(transform_point(a, iso), transform_point(b, iso));
       t.canonicalize();
       stored.push_back(std::move(t));
     }
@@ -232,10 +237,8 @@ std::uint64_t LookupTable::content_hash() const {
   // — equal results across generated, opened and resumed tables are the
   // storage contract.
   std::uint64_t combined = kContentHashInit;
-  for (const auto& [degree, slice] : slices_) {
-    (void)degree;
-    combined += hash_section_entries(slice.view, origin_);
-  }
+  for (const auto& [degree, slice] : slices_)
+    combined += hash_section_entries(slice.view, degree, origin_);
   return combined;
 }
 
@@ -273,6 +276,96 @@ LookupTable::StorageInfo LookupTable::storage() const {
   return info;
 }
 
+LookupTable::Entry LookupTable::find(int degree, std::uint64_t code) const {
+  const auto it = slices_.find(degree);
+  if (it == slices_.end()) return {};
+  return {&it->second.view, it->second.view.find(code)};
+}
+
+namespace {
+
+// Every record of a degree-n slice lists at most max_record_edges(n) edges
+// over rank points below n (RecordCursor enforces both), so arrays sized
+// for kMaxLutDegree hold any record the query walks.  Its tree interns the
+// n pins plus at most the n*n points of the rank grid.
+constexpr std::size_t kMaxEdges = max_record_edges(kMaxLutDegree);
+constexpr std::size_t kMaxNodes =
+    kMaxLutDegree + kMaxLutDegree * kMaxLutDegree;
+
+using Edge = std::pair<Point, Point>;
+
+/// Scores edge sets without building their trees: the objective() of
+/// RoutingTree::from_edges(net, edges), or nullopt when validate() rejects
+/// that tree.  It interns points exactly as from_edges does (pins first,
+/// then each edge's second endpoint before its first; a point keeps the id
+/// of its first occurrence) by a linear scan over at most kMaxNodes points
+/// instead of a hash map, and orients through the same orient_edges().
+class TopologyScorer {
+ public:
+  /// Scores the edge sets of `net` from now on.
+  void reset(const Net& net) {
+    pins_ = net.pins.size();
+    std::copy(net.pins.begin(), net.pins.end(), nodes_.begin());
+  }
+
+  std::optional<pareto::Objective> score(std::span<const Edge> edges) {
+    std::size_t nn = pins_;
+    const auto intern = [&](const Point& p) {
+      std::size_t i = 0;
+      while (i < nn && !(nodes_[i] == p)) ++i;
+      if (i == nn) nodes_[nn++] = p;
+      return static_cast<std::int32_t>(i);
+    };
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      ends_[2 * e + 1] = intern(edges[e].second);
+      ends_[2 * e] = intern(edges[e].first);
+    }
+    tree::orient_edges({nodes_.data(), nn}, pins_,
+                       {ends_.data(), 2 * edges.size()},
+                       {parent_.data(), nn}, {dist_.data(), nn},
+                       {start_, seen_, adj_, heap_});
+    // validate() accepts exactly when every non-root node has a parent:
+    // orient_edges() never gives the root one, and each parent is a node
+    // settled earlier (or a reached twin pin), so parents cannot cycle.
+    // dist is the root path length along those parents, as path_lengths()
+    // sums it.
+    pareto::Objective obj;
+    for (std::size_t v = 1; v < nn; ++v) {
+      if (parent_[v] == tree::kNoParent) return std::nullopt;
+      obj.w += geom::l1(nodes_[v],
+                        nodes_[static_cast<std::size_t>(parent_[v])]);
+    }
+    for (std::size_t v = 1; v < pins_; ++v) obj.d = std::max(obj.d, dist_[v]);
+    return obj;
+  }
+
+ private:
+  std::size_t pins_ = 0;
+  std::array<Point, kMaxNodes> nodes_{};
+  std::array<std::int32_t, 2 * kMaxEdges> ends_{};
+  std::array<std::int32_t, kMaxNodes> parent_{};
+  std::array<geom::Length, kMaxNodes> dist_{};
+  std::array<std::uint32_t, kMaxNodes + 1> start_{};
+  std::array<std::uint8_t, kMaxNodes> seen_{};
+  std::array<std::int32_t, 2 * kMaxEdges> adj_{};
+  std::array<std::pair<geom::Length, std::int32_t>, 2 * kMaxEdges + 1>
+      heap_{};
+};
+
+/// Per-thread query state (par::WorkerContext): fixed-size buffers and
+/// vector capacity, overwritten by every query before use.
+struct QueryScratch {
+  std::array<Edge, kMaxEdges> edges{};  ///< the record being scored
+  TopologyScorer scorer;
+  std::vector<pareto::Objective> objs;  ///< scores of the valid records
+  std::vector<std::uint32_t> records;   ///< record number of each score
+  /// (record number, frontier position) of each survivor, record order.
+  std::vector<std::pair<std::uint32_t, std::size_t>> survivors;
+  pareto::FilterScratch filter;
+};
+
+}  // namespace
+
 LookupTable::QueryResult LookupTable::query(const Net& net) const {
   const std::size_t degree = net.degree();
   QueryResult out;
@@ -290,41 +383,70 @@ LookupTable::QueryResult LookupTable::query(const Net& net) const {
     return numeric_fallback();
   }
 
-  std::vector<Coord> xs, ys;
-  const PinPattern pat = pattern_of(net, xs, ys);
-  const Canonical cj = canonical_joint(pat);
-  const auto sit = slices_.find(pat.n);
-  const IndexEntry* entry =
-      sit != slices_.end() ? sit->second.view.find(cj.code) : nullptr;
-  if (entry == nullptr) {
+  const int n = static_cast<int>(degree);
+  RankCoords xs{}, ys{};
+  Canonical cj;
+  Entry found;
+  // The file format admits sections past kMaxLutDegree, but no pattern
+  // (and no query) reaches them.
+  if (n <= kMaxLutDegree) {
+    cj = canonical_joint(pattern_of(net, xs, ys));
+    found = find(n, cj.code);
+  }
+  if (found.entry == nullptr) {
     PL_COUNT("lut.misses", 1);
     return numeric_fallback();
   }
   PL_COUNT("lut.hits", 1);
-  PL_HIST("lut.query_topologies", entry->count);
+  PL_HIST("lut.query_topologies", found.entry->count);
 
-  const int n = pat.n;
-  std::vector<RoutingTree> trees;
-  std::vector<pareto::Objective> objs;
-  trees.reserve(entry->count);
-  std::vector<std::pair<Point, Point>> edges;
-  RecordCursor cur(sit->second.view, *entry, origin_);
-  while (cur.next()) {
-    edges.clear();
-    edges.reserve(cur.edge_count());
-    for (unsigned i = 0; i < cur.edge_count(); ++i) {
-      const auto [a, b] = cur.edge(i);
-      const RankPoint ra = inverse_transform_point(a, cj.transform, n);
-      const RankPoint rb = inverse_transform_point(b, cj.transform, n);
-      edges.emplace_back(Point{xs[ra.x], ys[ra.y]}, Point{xs[rb.x], ys[rb.y]});
+  // Score every stored topology in place and select the frontier; only
+  // its survivors get a tree (DESIGN.md §13.6).
+  auto& scratch = par::WorkerContext::current().get<QueryScratch>();
+  scratch.objs.clear();
+  scratch.records.clear();
+  // Records are stored in the canonical frame: map their rank points back
+  // through the inverse canonical transform, built once per query.
+  const geom::Isometry inverse = rank_isometry(cj.transform, n).inverse();
+  const auto decode = [&](const RecordCursor& c) -> std::span<const Edge> {
+    const auto at = [&](RankPoint p) {
+      const RankPoint r = transform_point(p, inverse);
+      return Point{xs[r.x], ys[r.y]};
+    };
+    for (unsigned i = 0; i < c.edge_count(); ++i) {
+      const auto [a, b] = c.edge(i);
+      scratch.edges[i] = {at(a), at(b)};
     }
-    RoutingTree t = RoutingTree::from_edges(net, edges);
-    if (!t.validate().empty()) continue;  // degenerate collapse; skip
-    objs.push_back(t.objective());
-    trees.push_back(std::move(t));
+    return {scratch.edges.data(), c.edge_count()};
+  };
+  scratch.scorer.reset(net);
+  RecordCursor cur(*found.view, *found.entry, n, origin_);
+  for (std::uint32_t r = 0; cur.next(); ++r) {
+    if (const auto obj = scratch.scorer.score(decode(cur))) {
+      scratch.objs.push_back(*obj);
+      scratch.records.push_back(r);
+    }
   }
-  out.frontier = pareto::SolutionSet::select(objs);
-  out.trees = pareto::take_payload(out.frontier, std::move(trees));
+  out.frontier = pareto::SolutionSet::select(scratch.objs, scratch.filter);
+
+  // Re-walk the entry and build each survivor's tree in its frontier slot.
+  scratch.survivors.clear();
+  for (std::size_t k = 0; k < out.frontier.size(); ++k)
+    scratch.survivors.emplace_back(scratch.records[out.frontier.payload()[k]],
+                                   k);
+  std::sort(scratch.survivors.begin(), scratch.survivors.end());
+  out.trees.resize(out.frontier.size());
+  RecordCursor again(*found.view, *found.entry, n, origin_);
+  auto next = scratch.survivors.cbegin();
+  for (std::uint32_t r = 0; next != scratch.survivors.cend() && again.next();
+       ++r) {
+    if (r != next->first) continue;
+    RoutingTree& t = out.trees[next->second];
+    t = RoutingTree::from_edges(net, decode(again));
+    assert(t.validate().empty() && t.objective() == out.frontier[next->second]);
+    ++next;
+  }
+  out.frontier.strip_payload();
   return out;
 }
 

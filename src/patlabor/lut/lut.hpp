@@ -89,8 +89,8 @@ class LookupTable {
     std::uint64_t abort_after_patterns = 0;
   };
 
-  /// Generates tables for all degrees 4..max_degree (degree 2 and 3 are
-  /// trivial and answered in closed form by query()).
+  /// Generates tables for all degrees 4..max_degree (degrees 2 and 3 need
+  /// no table: query() answers them with the numeric Pareto-DW).
   static LookupTable generate(int max_degree,
                               const ParamDwOptions& options = {},
                               par::ThreadPool* pool = nullptr);
@@ -115,10 +115,25 @@ class LookupTable {
     std::vector<tree::RoutingTree> trees;  ///< parallel to frontier
   };
 
-  /// Exact Pareto frontier of a covered net via table lookup.
-  /// Degree 2 and 3 are answered analytically (single frontier point for 2;
-  /// median construction enumeration for 3).
+  /// Exact Pareto frontier of a covered net via table lookup: every stored
+  /// topology of the net's canonical index is scored on the net's
+  /// coordinates without building its tree, and trees are built for the
+  /// frontier only.  Degrees 2 and 3, and nets whose index the table does
+  /// not hold, are answered by the numeric dw::pareto_dw.
   QueryResult query(const geom::Net& net) const;
+
+  /// One stored index: the slice holding it and its index row (null when
+  /// the table holds no such degree or code).  Walk its topologies with
+  /// RecordCursor(*view, *entry, degree, origin()).
+  struct Entry {
+    const SectionView* view = nullptr;
+    const IndexEntry* entry = nullptr;
+  };
+  Entry find(int degree, std::uint64_t code) const;
+
+  /// Error-message context of the records: the source path, or
+  /// "<generated>".
+  const std::string& origin() const { return origin_; }
 
   const std::map<int, DegreeStats>& stats() const { return stats_; }
 

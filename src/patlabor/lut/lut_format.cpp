@@ -323,7 +323,7 @@ void write_container(const std::string& path, int max_degree,
     e.gen_seconds = s.stats.gen_seconds;
     e.bytes = s.stats.bytes;
     secs.push_back(e);
-    content += hash_section_entries(s.view, path);
+    content += hash_section_entries(s.view, s.degree, path);
   }
   if (meta != nullptr) {
     SectionEntry e{};
@@ -383,7 +383,7 @@ std::uint32_t dw_flags_of(const ParamDwOptions& dw) {
          (dw.boundary_arcs ? 4u : 0u) | (dw.exact_pruning ? 8u : 0u);
 }
 
-std::uint64_t hash_section_entries(const SectionView& view,
+std::uint64_t hash_section_entries(const SectionView& view, int degree,
                                    const std::string& context) {
   std::uint64_t sum = 0;
   for (const IndexEntry& e : view.index) {
@@ -396,7 +396,7 @@ std::uint64_t hash_section_entries(const SectionView& view,
     };
     mix(e.code);
     mix(e.count);
-    RecordCursor cur(view, e, context);
+    RecordCursor cur(view, e, degree, context);
     while (cur.next()) {
       mix(cur.edge_count());
       for (unsigned i = 0; i < cur.edge_count(); ++i) {
@@ -576,7 +576,8 @@ TableFileReport inspect_table_file(const std::string& path) {
       // A corrupt payload cannot contribute a meaningful hash term (and
       // walking its records may be impossible); the stored/computed
       // mismatch is the report.
-      if (s.checksums_ok) content += hash_section_entries(view, path);
+      if (s.checksums_ok)
+        content += hash_section_entries(view, s.degree, path);
       rep.stats[s.degree] = stats_of(sec);
     }
     rep.sections.push_back(s);

@@ -96,7 +96,7 @@ std::uint32_t dw_flags_of(const ParamDwOptions& dw);
 
 /// Sum of per-entry content-hash terms of one slice (see
 /// LookupTable::content_hash); commutative, so index order is irrelevant.
-std::uint64_t hash_section_entries(const SectionView& view,
+std::uint64_t hash_section_entries(const SectionView& view, int degree,
                                    const std::string& context);
 
 /// The neutral element the per-entry sums are added onto.

@@ -23,31 +23,32 @@ std::uint64_t joint_code(const PinPattern& p) {
   return (pattern_code(p) << 4) | p.source;
 }
 
-namespace {
-
 // Rank space is the box [0, n-1] x [0, n-1]; the 8 rank-space transforms
 // are geom::box_symmetry restricted to that square.
-RankPoint rank_apply(const geom::Isometry& iso, RankPoint p) {
+geom::Isometry rank_isometry(int t, int n) {
+  return geom::box_symmetry(t, n - 1, n - 1);
+}
+
+RankPoint transform_point(RankPoint p, const geom::Isometry& iso) {
   const geom::Point q = iso.apply(geom::Point{p.x, p.y});
   return RankPoint{static_cast<std::uint8_t>(q.x),
                    static_cast<std::uint8_t>(q.y)};
 }
 
-}  // namespace
-
 RankPoint transform_point(RankPoint p, int t, int n) {
-  return rank_apply(geom::box_symmetry(t, n - 1, n - 1), p);
+  return transform_point(p, rank_isometry(t, n));
 }
 
 RankPoint inverse_transform_point(RankPoint p, int t, int n) {
-  return rank_apply(geom::box_symmetry(t, n - 1, n - 1).inverse(), p);
+  return transform_point(p, rank_isometry(t, n).inverse());
 }
 
 PinPattern apply_transform(const PinPattern& p, int t) {
+  const geom::Isometry iso = rank_isometry(t, p.n);
   PinPattern out;
   out.n = p.n;
   for (int i = 0; i < p.n; ++i) {
-    const RankPoint q = transform_point(p.pin(i), t, p.n);
+    const RankPoint q = transform_point(p.pin(i), iso);
     out.perm[q.x] = q.y;
     if (i == p.source) out.source = q.x;
   }
@@ -79,47 +80,37 @@ Canonical canonical_pattern_only(const PinPattern& p) {
   return canonicalize(p, false);
 }
 
-PinPattern pattern_of(const geom::Net& net, std::vector<geom::Coord>& xs,
-                      std::vector<geom::Coord>& ys) {
+PinPattern pattern_of(const geom::Net& net, RankCoords& xs, RankCoords& ys) {
   const auto n = static_cast<int>(net.degree());
   assert(n >= 2 && n <= kMaxLutDegree);
+  const auto pin = [&](int i) -> const geom::Point& {
+    return net.pins[static_cast<std::size_t>(i)];
+  };
 
-  std::vector<int> by_x(static_cast<std::size_t>(n));
-  std::vector<int> by_y(static_cast<std::size_t>(n));
-  std::iota(by_x.begin(), by_x.end(), 0);
-  std::iota(by_y.begin(), by_y.end(), 0);
+  std::array<int, kMaxLutDegree> by_x{}, by_y{}, yrank{};
+  std::iota(by_x.begin(), by_x.begin() + n, 0);
+  std::iota(by_y.begin(), by_y.begin() + n, 0);
   // Stable tie-break by pin index keeps degenerate nets deterministic;
   // tied ranks only create zero-length strips.
-  std::sort(by_x.begin(), by_x.end(), [&](int a, int b) {
-    const auto& pa = net.pins[static_cast<std::size_t>(a)];
-    const auto& pb = net.pins[static_cast<std::size_t>(b)];
-    return pa.x != pb.x ? pa.x < pb.x : a < b;
+  std::sort(by_x.begin(), by_x.begin() + n, [&](int a, int b) {
+    return pin(a).x != pin(b).x ? pin(a).x < pin(b).x : a < b;
   });
-  std::sort(by_y.begin(), by_y.end(), [&](int a, int b) {
-    const auto& pa = net.pins[static_cast<std::size_t>(a)];
-    const auto& pb = net.pins[static_cast<std::size_t>(b)];
-    return pa.y != pb.y ? pa.y < pb.y : a < b;
+  std::sort(by_y.begin(), by_y.begin() + n, [&](int a, int b) {
+    return pin(a).y != pin(b).y ? pin(a).y < pin(b).y : a < b;
   });
-
-  std::vector<int> yrank(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r)
     yrank[static_cast<std::size_t>(by_y[static_cast<std::size_t>(r)])] = r;
 
   PinPattern pat;
   pat.n = n;
-  xs.resize(static_cast<std::size_t>(n));
-  ys.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const int pin = by_x[static_cast<std::size_t>(i)];
-    pat.perm[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(yrank[static_cast<std::size_t>(pin)]);
-    xs[static_cast<std::size_t>(i)] =
-        net.pins[static_cast<std::size_t>(pin)].x;
-    if (pin == 0) pat.source = static_cast<std::uint8_t>(i);
+    const auto ui = static_cast<std::size_t>(i);
+    const int p = by_x[ui];
+    pat.perm[ui] = static_cast<std::uint8_t>(yrank[static_cast<std::size_t>(p)]);
+    xs[ui] = pin(p).x;
+    ys[ui] = pin(by_y[ui]).y;
+    if (p == 0) pat.source = static_cast<std::uint8_t>(i);
   }
-  for (int r = 0; r < n; ++r)
-    ys[static_cast<std::size_t>(r)] =
-        net.pins[static_cast<std::size_t>(by_y[static_cast<std::size_t>(r)])].y;
   return pat;
 }
 

@@ -14,8 +14,8 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
+#include "patlabor/geom/canonical.hpp"
 #include "patlabor/geom/net.hpp"
 
 namespace patlabor::lut {
@@ -58,6 +58,14 @@ std::uint64_t joint_code(const PinPattern& p);
 /// bit0 = transpose (swap x/y), bit1 = flip x, bit2 = flip y.
 inline constexpr int kNumTransforms = 8;
 
+/// The isometry of transform t on the degree-n rank square [0, n-1]^2.
+/// Build it once and apply it to many points with transform_point(p, iso);
+/// its inverse() undoes it.
+geom::Isometry rank_isometry(int t, int n);
+
+/// Applies a rank-square isometry to a rank-space point.
+RankPoint transform_point(RankPoint p, const geom::Isometry& iso);
+
 /// Applies transform t to a rank-space point.
 RankPoint transform_point(RankPoint p, int t, int n);
 
@@ -82,10 +90,12 @@ Canonical canonical_joint(const PinPattern& p);
 /// n source choices of the same pattern).
 Canonical canonical_pattern_only(const PinPattern& p);
 
+/// Sorted pin coordinates of a net, indexed by rank (first n entries).
+using RankCoords = std::array<geom::Coord, kMaxLutDegree>;
+
 /// Extracts the pattern of a net, plus the sorted coordinate arrays needed
 /// to map rank-space topologies back to actual coordinates:
 /// xs[i] = x coordinate of the pin with x rank i (ditto ys).
-PinPattern pattern_of(const geom::Net& net, std::vector<geom::Coord>& xs,
-                      std::vector<geom::Coord>& ys);
+PinPattern pattern_of(const geom::Net& net, RankCoords& xs, RankCoords& ys);
 
 }  // namespace patlabor::lut

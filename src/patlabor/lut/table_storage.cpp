@@ -20,8 +20,8 @@ const IndexEntry* SectionView::find(std::uint64_t code) const {
 }
 
 RecordCursor::RecordCursor(const SectionView& view, const IndexEntry& entry,
-                           const std::string& context)
-    : context_(&context) {
+                           int degree, const std::string& context)
+    : degree_(degree), context_(&context) {
   // The whole entry span must sit inside the blob before any record is
   // decoded — offset and nbytes come from the file and may lie.
   if (entry.offset > view.blob.size() ||
@@ -49,11 +49,25 @@ bool RecordCursor::next() {
         *context_ + ": entry promises " + std::to_string(remaining_) +
         " more topology record(s) but its byte span is exhausted");
   nedges_ = *p_++;
+  if (nedges_ > max_record_edges(degree_))
+    throw FormatError(*context_ + ": topology record claims " +
+                      std::to_string(nedges_) + " edges, more than the " +
+                      std::to_string(max_record_edges(degree_)) +
+                      " a degree-" + std::to_string(degree_) +
+                      " topology can hold");
   if (static_cast<std::size_t>(end_ - p_) < 2u * nedges_)
     throw FormatError(
         *context_ + ": topology record claims " + std::to_string(nedges_) +
         " edges but only " + std::to_string((end_ - p_) / 2) +
         " fit in the remaining bytes");
+  for (unsigned i = 0; i < 2u * nedges_; ++i) {
+    const RankPoint r = unpack_rank_point(p_[i]);
+    if (r.x >= degree_ || r.y >= degree_)
+      throw FormatError(*context_ + ": topology record has rank point (" +
+                        std::to_string(r.x) + "," + std::to_string(r.y) +
+                        ") outside the degree-" + std::to_string(degree_) +
+                        " rank grid");
+  }
   edges_ = p_;
   p_ += 2u * nedges_;
   --remaining_;

@@ -60,6 +60,12 @@ inline RankPoint unpack_rank_point(std::uint8_t b) {
                    static_cast<std::uint8_t>(b & 0xF)};
 }
 
+/// Most edges a degree-n record may list: a tree whose nodes are distinct
+/// points of the n x n rank grid has at most n*n - 1 edges.
+constexpr unsigned max_record_edges(int degree) {
+  return static_cast<unsigned>(degree * degree - 1);
+}
+
 /// An owned flat degree slice: the in-memory backend of a generated
 /// LookupTable, and of the slices a checkpoint resume copies out of its
 /// file.
@@ -79,16 +85,19 @@ struct SectionView {
 };
 
 /// Walks one entry's topology records with bounds checks: every count is
-/// validated against the entry's byte span before it is trusted, so a
-/// corrupt or lying file throws FormatError instead of reading out of
-/// bounds.
+/// validated against the entry's byte span before it is trusted, every
+/// edge count against max_record_edges(degree) and every rank coordinate
+/// against the degree, so a corrupt or lying file throws FormatError
+/// instead of reading out of bounds — in the blob, or in the degree-sized
+/// arrays a query indexes with the ranks.
 /// Usage:
-///   RecordCursor cur(view, *entry, context);
+///   RecordCursor cur(view, *entry, degree, context);
 ///   while (cur.next()) { cur.edge_count() / cur.edge(i) ... }
 class RecordCursor {
  public:
-  /// `context` seeds error messages (file path or "<memory>").
-  RecordCursor(const SectionView& view, const IndexEntry& entry,
+  /// `degree` is the slice's degree; `context` seeds error messages (file
+  /// path or "<generated>").
+  RecordCursor(const SectionView& view, const IndexEntry& entry, int degree,
                const std::string& context);
 
   /// Advances to the next record; false when the entry is exhausted.
@@ -107,6 +116,7 @@ class RecordCursor {
   const std::uint8_t* edges_ = nullptr;
   std::uint32_t remaining_;
   unsigned nedges_ = 0;
+  int degree_;
   const std::string* context_;
 };
 

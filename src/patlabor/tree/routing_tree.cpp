@@ -30,10 +30,11 @@ RoutingTree RoutingTree::from_edges(
   for (std::size_t i = 0; i < t.nodes_.size(); ++i) {
     // Duplicate pins map to the first occurrence; extra duplicates become
     // isolated nodes attached below.
-    id.emplace(t.nodes_[i], static_cast<std::int32_t>(i));
+    id.try_emplace(t.nodes_[i], static_cast<std::int32_t>(i));
   }
+  // try_emplace looks the point up before it allocates a map node.
   auto intern = [&](const Point& p) -> std::int32_t {
-    auto [it, inserted] = id.emplace(
+    auto [it, inserted] = id.try_emplace(
         p, static_cast<std::int32_t>(t.nodes_.size()));
     if (inserted) t.nodes_.push_back(p);
     return it->second;
@@ -46,12 +47,34 @@ RoutingTree RoutingTree::from_edges(
     ends[2 * e] = intern(edges[e].first);
   }
 
-  // Adjacency as CSR, each list in edge order.
   const std::size_t nn = t.nodes_.size();
-  std::vector<std::uint32_t> start(nn + 1, 0);
+  t.parent_.resize(nn);
+  std::vector<Length> dist(nn);
+  std::vector<std::uint32_t> start(nn + 1);
+  std::vector<std::uint8_t> seen(nn);
+  std::vector<std::int32_t> adj(ends.size());
+  std::vector<std::pair<Length, std::int32_t>> heap(ends.size() + 1);
+  orient_edges(t.nodes_, t.num_pins_, ends, t.parent_, dist,
+               {start, seen, adj, heap});
+  return t;
+}
+
+void orient_edges(std::span<const Point> nodes, std::size_t num_pins,
+                  std::span<const std::int32_t> ends,
+                  std::span<std::int32_t> parent, std::span<Length> dist,
+                  const OrientScratch& scratch) {
+  const std::size_t nn = nodes.size();
+  assert(parent.size() == nn && dist.size() == nn);
+  assert(scratch.start.size() > nn && scratch.seen.size() >= nn &&
+         scratch.adj.size() >= ends.size() &&
+         scratch.heap.size() > ends.size());
+
+  // Adjacency as CSR, each list in edge order.
+  std::uint32_t* const start = scratch.start.data();
+  std::int32_t* const adj = scratch.adj.data();
+  std::fill(start, start + nn + 1, 0u);
   for (std::int32_t v : ends) ++start[static_cast<std::size_t>(v) + 1];
   for (std::size_t v = 0; v < nn; ++v) start[v + 1] += start[v];
-  std::vector<std::int32_t> adj(ends.size());
   for (std::size_t e = 0; e < ends.size(); e += 2) {
     adj[start[static_cast<std::size_t>(ends[e])]++] = ends[e + 1];
     adj[start[static_cast<std::size_t>(ends[e + 1])]++] = ends[e];
@@ -65,45 +88,47 @@ RoutingTree RoutingTree::from_edges(
   // or overlapping edges produced cycles in the union, the SPT orientation
   // guarantees path lengths (hence delay) never exceed those of any
   // intended derivation of the same edge set.
-  t.parent_.assign(nn, kNoParent);
   constexpr Length kUnreached = std::numeric_limits<Length>::max() / 4;
-  std::vector<Length> dist(nn, kUnreached);
-  std::vector<bool> seen(nn, false);
+  std::fill(parent.begin(), parent.end(), kNoParent);
+  std::fill(dist.begin(), dist.end(), kUnreached);
+  std::uint8_t* const seen = scratch.seen.data();
+  std::fill(seen, seen + nn, std::uint8_t{0});
   using Entry = std::pair<Length, std::int32_t>;
-  std::vector<Entry> heap;
-  heap.reserve(ends.size() + 1);
+  Entry* const heap = scratch.heap.data();
+  std::size_t heap_size = 0;
   dist[0] = 0;
-  heap.emplace_back(0, 0);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-    const auto [du, ui] = heap.back();
-    heap.pop_back();
+  heap[heap_size++] = Entry{0, 0};
+  while (heap_size > 0) {
+    std::pop_heap(heap, heap + heap_size, std::greater<>());
+    const auto [du, ui] = heap[--heap_size];
     const auto u = static_cast<std::size_t>(ui);
-    if (seen[u] || du > dist[u]) continue;
-    seen[u] = true;
+    if (seen[u] != 0 || du > dist[u]) continue;
+    seen[u] = 1;
     for (std::uint32_t k = start[u]; k < start[u + 1]; ++k) {
       const auto v = static_cast<std::size_t>(adj[k]);
-      const Length nd = du + geom::l1(t.nodes_[u], t.nodes_[v]);
+      const Length nd = du + geom::l1(nodes[u], nodes[v]);
       if (nd < dist[v]) {
         dist[v] = nd;
-        t.parent_[v] = ui;
-        heap.emplace_back(nd, adj[k]);
-        std::push_heap(heap.begin(), heap.end(), std::greater<>());
+        parent[v] = ui;
+        heap[heap_size++] = Entry{nd, adj[k]};
+        std::push_heap(heap, heap + heap_size, std::greater<>());
       }
     }
   }
-  // Unreached duplicates of pins (same coordinates) hang off their twin.
-  for (std::size_t v = 1; v < t.num_pins_; ++v) {
-    if (!seen[v]) {
-      const auto it = id.find(t.nodes_[v]);
-      if (it != id.end() && static_cast<std::size_t>(it->second) != v &&
-          seen[static_cast<std::size_t>(it->second)]) {
-        t.parent_[v] = it->second;
-        seen[v] = true;
+  // Unreached duplicates of pins (same coordinates) hang off their twin:
+  // the first pin at those coordinates, whose id interning gave the point.
+  for (std::size_t v = 1; v < num_pins; ++v) {
+    if (seen[v] != 0) continue;
+    for (std::size_t u = 0; u < v; ++u) {
+      if (!(nodes[u] == nodes[v])) continue;
+      if (seen[u] != 0) {
+        parent[v] = static_cast<std::int32_t>(u);
+        dist[v] = dist[u];
+        seen[v] = 1;
       }
+      break;
     }
   }
-  return t;
 }
 
 std::size_t RoutingTree::add_steiner(const Point& p, std::int32_t parent) {

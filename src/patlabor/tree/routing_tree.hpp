@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "patlabor/geom/net.hpp"
@@ -24,6 +25,31 @@ using geom::Point;
 
 constexpr std::int32_t kNoParent = -1;
 
+/// Working storage of orient_edges(), owned by the caller: `start` holds
+/// one entry per node plus one, `seen` one per node, `adj` one per edge
+/// endpoint and `heap` one more than that.
+struct OrientScratch {
+  std::span<std::uint32_t> start;
+  std::span<std::uint8_t> seen;
+  std::span<std::int32_t> adj;
+  std::span<std::pair<Length, std::int32_t>> heap;
+};
+
+/// The orientation core of RoutingTree::from_edges, over caller-provided
+/// buffers so a caller that interns points itself can orient without
+/// allocating.  nodes[0, num_pins) are the pins (node 0 the source), the
+/// rest Steiner points; edge e joins nodes ends[2e] and ends[2e + 1].
+/// Fills parent[v] with v's parent in the shortest-path tree from node 0
+/// (kNoParent when v is unreached) and dist[v] with its root path length
+/// along tree edges (meaningless when unreached).  Adjacency lists keep
+/// edge order; Dijkstra settles the lowest (dist, id) first and relaxes on
+/// strict improvement only; an unreached pin whose coordinates equal an
+/// earlier pin's hangs off the first such pin when that one was reached.
+void orient_edges(std::span<const Point> nodes, std::size_t num_pins,
+                  std::span<const std::int32_t> ends,
+                  std::span<std::int32_t> parent, std::span<Length> dist,
+                  const OrientScratch& scratch);
+
 class RoutingTree {
  public:
   RoutingTree() = default;
@@ -34,12 +60,12 @@ class RoutingTree {
 
   /// Builds a tree from an undirected edge list over points.  The edge set
   /// must connect all pins; orientation (parent pointers) is the
-  /// shortest-path tree from the source over L1 edge lengths, found by a
-  /// binary-heap Dijkstra (O(E log E)) that settles the lowest (distance,
-  /// id) first.  Points are interned through a hash map in first-seen order
-  /// (pins first, then each edge's second endpoint before its first).
-  /// Points not equal to any pin become Steiner nodes.  Degree-2
-  /// pass-through Steiner nodes are preserved as given.
+  /// shortest-path tree from the source over L1 edge lengths that
+  /// orient_edges() finds by a binary-heap Dijkstra (O(E log E)).  Points
+  /// are interned through a hash map in first-seen order (pins first, then
+  /// each edge's second endpoint before its first).  Points not equal to
+  /// any pin become Steiner nodes.  Degree-2 pass-through Steiner nodes are
+  /// preserved as given.
   static RoutingTree from_edges(const Net& net,
                                 std::span<const std::pair<Point, Point>> edges);
 

@@ -17,6 +17,12 @@
 // Per-pass oracle vectors, per-node children lists and a children rebuild
 // per Steinerization merge cost 1,576-1,890 per call; one scratch reused
 // by every pass and an in-place normalize cost 25.
+// The lookup-table query: after a warm-up pass, a degree-6 query must stay
+// at or below 8 allocations plus 24 per frontier tree.  Scoring the stored
+// topologies allocates nothing; the frontier, the tree vector and each
+// survivor's from_edges call (about 19) do.  Building a tree for every
+// stored topology cost 82,000 allocations over these 200 queries (worst
+// 1,196); scoring first costs 5,373 (worst 96).
 //
 // This binary replaces the global operator new with a counting forwarder.
 // The replacement is program-wide, so it lives in this one test binary.
@@ -168,6 +174,30 @@ TEST(AllocBudget, RefineReusesScratch) {
   }
   EXPECT_GT(multi_pass, 0);
   EXPECT_LE(worst, 32u) << "allocations in the worst degree-64 refine";
+}
+
+TEST(AllocBudget, LutQueryDegree6) {
+  par::ThreadPool pool(1);
+  const lut::LookupTable table = lut::LookupTable::generate(6, {}, &pool);
+  util::Rng rng(37);
+  std::vector<geom::Net> nets;
+  for (int i = 0; i < 200; ++i) nets.push_back(netgen::clustered_net(rng, 6));
+  for (const geom::Net& net : nets) (void)table.query(net);  // warm-up
+  std::uint64_t worst_excess = 0, total = 0, trees = 0;
+  for (const geom::Net& net : nets) {
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const lut::LookupTable::QueryResult q = table.query(net);
+    const std::uint64_t allocs =
+        g_allocs.load(std::memory_order_relaxed) - before;
+    ASSERT_FALSE(q.trees.empty());
+    total += allocs;
+    trees += q.trees.size();
+    const std::uint64_t allowed = 8 + 24 * q.trees.size();
+    if (allocs > allowed) worst_excess = std::max(worst_excess, allocs - allowed);
+  }
+  EXPECT_EQ(worst_excess, 0u)
+      << total << " allocations for " << nets.size() << " queries, " << trees
+      << " frontier trees";
 }
 
 }  // namespace

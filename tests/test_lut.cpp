@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 
+#include "lut_query_reference.hpp"
 #include "patlabor/dw/pareto_dw.hpp"
 #include "patlabor/lut/lut.hpp"
+#include "patlabor/lut/lut_format.hpp"
 #include "patlabor/lut/pattern.hpp"
+#include "patlabor/netgen/netgen.hpp"
+#include "patlabor/util/xxhash.hpp"
 #include "test_util.hpp"
 
 namespace patlabor {
@@ -77,7 +85,7 @@ TEST(Pattern, CanonicalTransformMapsOntoCanonicalPattern) {
   util::Rng rng(55);
   for (int it = 0; it < 30; ++it) {
     const Net net = testing::random_net(rng, 5);
-    std::vector<geom::Coord> xs, ys;
+    lut::RankCoords xs, ys;
     const PinPattern p = lut::pattern_of(net, xs, ys);
     const Canonical c = lut::canonical_joint(p);
     EXPECT_EQ(lut::apply_transform(p, c.transform), c.pattern);
@@ -88,25 +96,28 @@ TEST(Pattern, CanonicalTransformMapsOntoCanonicalPattern) {
 TEST(Pattern, PatternOfSimpleNet) {
   Net net;
   net.pins = {{10, 0}, {0, 5}, {20, 3}};  // source has middle x rank
-  std::vector<geom::Coord> xs, ys;
+  lut::RankCoords xs, ys;
   const PinPattern p = lut::pattern_of(net, xs, ys);
   EXPECT_EQ(p.n, 3);
   EXPECT_EQ(p.source, 1);            // x rank of (10,0)
   EXPECT_EQ(p.perm[0], 2);           // (0,5): highest y
   EXPECT_EQ(p.perm[1], 0);           // (10,0): lowest y
   EXPECT_EQ(p.perm[2], 1);           // (20,3): middle y
-  EXPECT_EQ(xs, (std::vector<geom::Coord>{0, 10, 20}));
-  EXPECT_EQ(ys, (std::vector<geom::Coord>{0, 3, 5}));
+  EXPECT_EQ(std::vector<geom::Coord>(xs.begin(), xs.begin() + 3),
+            (std::vector<geom::Coord>{0, 10, 20}));
+  EXPECT_EQ(std::vector<geom::Coord>(ys.begin(), ys.begin() + 3),
+            (std::vector<geom::Coord>{0, 3, 5}));
 }
 
 TEST(Pattern, StableTieBreaking) {
   Net net;
   net.pins = {{5, 5}, {5, 9}, {5, 1}};  // all same x
-  std::vector<geom::Coord> xs, ys;
+  lut::RankCoords xs, ys;
   const PinPattern p = lut::pattern_of(net, xs, ys);
   // x ranks by pin index: source first.
   EXPECT_EQ(p.source, 0);
-  EXPECT_EQ(xs, (std::vector<geom::Coord>{5, 5, 5}));
+  EXPECT_EQ(std::vector<geom::Coord>(xs.begin(), xs.begin() + 3),
+            (std::vector<geom::Coord>{5, 5, 5}));
 }
 
 // ---- The decisive LUT correctness test: query == numeric Pareto-DW ----
@@ -227,6 +238,150 @@ TEST(LutMissingDegree, FallsBackToNumericDw) {
   util::Rng rng(65);
   const Net net = testing::random_net(rng, 6);
   EXPECT_EQ(lut.query(net).frontier, dw::pareto_frontier(net));
+}
+
+// ---- Score-then-build query == the build-every-tree reference ----
+
+/// The differential nets: seeded degree 2-6 nets of every shape the scorer
+/// must mirror — spread-out clustered nets, nets on 2x2 to 7x7 windows
+/// (tied coordinates, Steiner points collapsing onto pins and each other,
+/// cycles with equal-length alternatives), collinear pins, and nets
+/// repeating a pin.
+std::vector<Net> differential_nets() {
+  util::Rng rng(71);
+  std::vector<Net> nets;
+  for (std::size_t degree = 2; degree <= 6; ++degree) {
+    for (int i = 0; i < 60; ++i) {
+      nets.push_back(netgen::clustered_net(rng, degree));
+      for (const geom::Coord window : {1, 2, 3, 6})
+        nets.push_back(
+            testing::random_net(rng, degree, window, /*allow_ties=*/true));
+    }
+    for (int i = 0; i < 10; ++i) {
+      Net line;
+      for (std::size_t k = 0; k < degree; ++k)
+        line.pins.push_back(i % 2 == 0
+                                ? geom::Point{rng.uniform_int(0, 50), 7}
+                                : geom::Point{-3, rng.uniform_int(0, 50)});
+      nets.push_back(line);
+    }
+    for (int i = 0; i < 20; ++i) {
+      Net dup = testing::random_net(rng, degree - 1, 40, true);
+      const geom::Point twin = dup.pins[rng.index(dup.pins.size())];
+      dup.pins.insert(dup.pins.begin() + 1 + rng.index(dup.pins.size()),
+                      twin);
+      nets.push_back(dup);
+    }
+  }
+  return nets;
+}
+
+void expect_same_answers(const LookupTable& table, const char* which) {
+  std::size_t hits = 0, tied = 0, duplicate_pins = 0;
+  for (const Net& net : differential_nets()) {
+    const LookupTable::QueryResult want = testing::reference_query(table, net);
+    const LookupTable::QueryResult got = table.query(net);
+    ASSERT_EQ(got.frontier, want.frontier) << which;
+    ASSERT_EQ(got.trees.size(), want.trees.size()) << which;
+    for (std::size_t k = 0; k < got.trees.size(); ++k) {
+      EXPECT_EQ(got.trees[k].num_pins(), want.trees[k].num_pins()) << which;
+      EXPECT_EQ(got.trees[k].nodes(), want.trees[k].nodes()) << which;
+      EXPECT_EQ(got.trees[k].parents(), want.trees[k].parents()) << which;
+    }
+    if (net.degree() < 4) continue;
+    ++hits;
+    bool ties = false, dup = false;
+    for (std::size_t a = 0; a < net.pins.size(); ++a)
+      for (std::size_t b = a + 1; b < net.pins.size(); ++b) {
+        ties |= net.pins[a].x == net.pins[b].x || net.pins[a].y == net.pins[b].y;
+        dup |= net.pins[a] == net.pins[b];
+      }
+    tied += ties ? 1 : 0;
+    duplicate_pins += dup ? 1 : 0;
+  }
+  // The table answers most nets, many of them degenerate.
+  EXPECT_GT(hits, 400u) << which;
+  EXPECT_GT(tied, 200u) << which;
+  EXPECT_GT(duplicate_pins, 40u) << which;
+}
+
+/// Rewrites every record of a saved table with a random edge set of the
+/// same size over its degree's rank grid (blob checksums updated), which
+/// generated records never are: self-loops, repeated edges, cycles, edges
+/// between two Steiner points new to the interning, and pins left
+/// unconnected (a topology validate() rejects).
+void scramble_records(const std::string& path, std::uint64_t seed) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+  in.close();
+  util::Rng rng(seed);
+  lut::FileHeader head;
+  std::memcpy(&head, bytes.data(), sizeof head);
+  for (std::uint32_t s = 0; s < head.section_count; ++s) {
+    const std::size_t at = sizeof head + s * sizeof(lut::SectionEntry);
+    lut::SectionEntry sec;
+    std::memcpy(&sec, bytes.data() + at, sizeof sec);
+    if (sec.kind != lut::kSectionDegree) continue;
+    const int n = static_cast<int>(sec.degree);
+    std::uint8_t* const blob = bytes.data() + sec.blob_offset;
+    for (std::uint64_t i = 0; i < sec.index_count; ++i) {
+      lut::IndexEntry e;
+      std::memcpy(&e, bytes.data() + sec.index_offset + i * sizeof e,
+                  sizeof e);
+      // The pins of the entry's canonical pattern: the y rank of x rank x
+      // is hex digit n - x of the joint code (digit 0 is the source).
+      std::vector<std::uint8_t> pins;
+      for (int x = 0; x < n; ++x)
+        pins.push_back(static_cast<std::uint8_t>(
+            (x << 4) | ((e.code >> (4 * (n - x))) & 0xF)));
+      std::uint8_t* p = blob + e.offset;
+      for (std::uint32_t r = 0; r < e.count; ++r) {
+        const unsigned edges = *p++;
+        std::vector<std::uint8_t> reached{pins[rng.index(pins.size())]};
+        const auto any_point = [&] {
+          return static_cast<std::uint8_t>((rng.index(n) << 4) | rng.index(n));
+        };
+        for (unsigned k = 0; k < edges; ++k, p += 2) {
+          std::uint8_t a = reached[rng.index(reached.size())], b = any_point();
+          switch (rng.index(6)) {
+            case 0: b = a; break;              // self-loop
+            case 1: a = any_point(); break;    // possibly two new points
+            case 2: b = reached[rng.index(reached.size())]; break;  // cycle
+            default: b = pins[rng.index(pins.size())]; break;
+          }
+          reached.push_back(a);
+          reached.push_back(b);
+          if (rng.index(2) == 0) std::swap(a, b);
+          p[0] = a;
+          p[1] = b;
+        }
+      }
+    }
+    sec.blob_xxh = util::xxhash64({blob, sec.blob_bytes});
+    std::memcpy(bytes.data() + at, &sec, sizeof sec);
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(LutQuery, SameAnswersAsTreeBuildingReference) {
+  const LookupTable generated = LookupTable::generate(6);
+  expect_same_answers(generated, "generated");
+
+  const std::string path = ::testing::TempDir() + "/lut_query_reference.bin";
+  generated.save(path);
+  {
+    const LookupTable opened = LookupTable::open(path);
+    ASSERT_EQ(opened.storage().backend, LookupTable::StorageBackend::kMmap);
+    expect_same_answers(opened, "opened");
+  }
+  scramble_records(path, 73);
+  const LookupTable scrambled = LookupTable::open(path);
+  ASSERT_NE(scrambled.content_hash(), generated.content_hash());
+  expect_same_answers(scrambled, "scrambled records");
+  std::remove(path.c_str());
 }
 
 }  // namespace

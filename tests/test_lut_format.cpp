@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "patlabor/dw/pareto_dw.hpp"
 #include "patlabor/lut/lut.hpp"
 #include "patlabor/lut/lut_format.hpp"
 #include "patlabor/par/pool.hpp"
@@ -329,11 +330,13 @@ TEST(LutFormat, ResumeRefusesChangedDwOptions) {
 // RecordCursor is the only guard between an opened file's blob and the
 // query path: each lie below must throw, never read out of bounds.
 
-/// Drains a cursor over `entry` of a one-entry slice with `blob`.
-void walk(const std::vector<std::uint8_t>& blob, const lut::IndexEntry& entry) {
+/// Drains a cursor over `entry` of a one-entry degree-`degree` slice with
+/// `blob`.
+void walk(const std::vector<std::uint8_t>& blob, const lut::IndexEntry& entry,
+          int degree = 4) {
   const lut::SectionView view{{&entry, 1}, blob};
   const std::string context = "<test>";
-  lut::RecordCursor cur(view, entry, context);
+  lut::RecordCursor cur(view, entry, degree, context);
   while (cur.next()) {
   }
 }
@@ -358,6 +361,88 @@ TEST(RecordCursor, RejectsEdgeCountOverrun) {
 
 TEST(RecordCursor, RejectsTrailingBytes) {
   EXPECT_THROW(walk({1, 0x00, 0x11, 0xAA}, {7, 0, 1, 4}), FormatError);
+}
+
+TEST(RecordCursor, RejectsRankBeyondDegree) {
+  EXPECT_NO_THROW(walk({1, 0x00, 0x33}, {7, 0, 1, 3}, 4));
+  EXPECT_THROW(walk({1, 0x00, 0x34}, {7, 0, 1, 3}, 4), FormatError);
+  EXPECT_THROW(walk({1, 0x40, 0x00}, {7, 0, 1, 3}, 4), FormatError);
+  EXPECT_THROW(walk({1, 0xFF, 0x00}, {7, 0, 1, 3}, 9), FormatError);
+  // The rank check covers every edge, not just the first.
+  EXPECT_THROW(walk({2, 0x00, 0x11, 0x11, 0x15}, {7, 0, 1, 5}, 5),
+               FormatError);
+}
+
+TEST(RecordCursor, RejectsMoreEdgesThanTheDegreeHolds) {
+  // A degree-4 topology spans at most the 16 rank-grid points: 15 edges.
+  const auto record = [](unsigned edges) {
+    std::vector<std::uint8_t> blob{static_cast<std::uint8_t>(edges)};
+    for (unsigned i = 0; i < edges; ++i) blob.insert(blob.end(), {0x00, 0x11});
+    return blob;
+  };
+  const auto entry = [](const std::vector<std::uint8_t>& blob) {
+    return lut::IndexEntry{7, 0, 1, static_cast<std::uint32_t>(blob.size())};
+  };
+  EXPECT_EQ(lut::max_record_edges(4), 15u);
+  EXPECT_NO_THROW(walk(record(15), entry(record(15)), 4));
+  EXPECT_THROW(walk(record(16), entry(record(16)), 4), FormatError);
+  EXPECT_NO_THROW(walk(record(16), entry(record(16)), 5));
+}
+
+TEST(LutFormat, HostileRankBeyondDegree) {
+  // Every record's first endpoint rewritten to rank (15,15) with the blob
+  // checksum recomputed: the file opens (open() checks checksums, not
+  // records), but a query must throw naming the path instead of indexing
+  // the degree-4 coordinate arrays with rank 15.
+  const std::string path = tmp_path("rank_beyond_degree.bin");
+  auto bytes = fresh_v2_bytes(path);
+  const std::size_t sec = sizeof(lut::FileHeader);
+  ASSERT_EQ(peek<std::uint32_t>(bytes, sec + 4), 4u);  // degree-4 section
+  const auto blob_offset = peek<std::uint64_t>(bytes, sec + 24);
+  const auto blob_bytes = peek<std::uint64_t>(bytes, sec + 32);
+  ASSERT_LE(blob_offset + blob_bytes, bytes.size());
+  for (std::size_t p = blob_offset; p < blob_offset + blob_bytes;) {
+    const std::size_t edges = bytes[p];
+    ASSERT_GT(edges, 0u);
+    bytes[p + 1] = 0xFF;
+    p += 1 + 2 * edges;
+  }
+  poke<std::uint64_t>(
+      bytes, sec + 48,
+      util::xxhash64({bytes.data() + blob_offset, blob_bytes}));
+  write_file(path, bytes);
+
+  const LookupTable table = LookupTable::open(path);
+  util::Rng rng(41);
+  for (int i = 0; i < 8; ++i) {
+    const geom::Net net = testing::random_net(rng, 4);
+    try {
+      (void)table.query(net);
+      FAIL() << "expected FormatError for a rank beyond the degree";
+    } catch (const FormatError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find("rank point (15,15)"), std::string::npos) << what;
+    }
+  }
+  EXPECT_THROW((void)table.content_hash(), FormatError);
+}
+
+TEST(LutFormat, SectionBeyondMaxLutDegreeIsNeverQueried) {
+  // The container admits sections up to degree 15, past the 9 pins a
+  // pattern holds.  A table claiming degree 10 covers degree-10 nets, but
+  // its query must fall back to the numeric DW, not build a pattern.
+  const std::string path = tmp_path("degree10.bin");
+  auto bytes = fresh_v2_bytes(path);
+  const std::size_t sec = sizeof(lut::FileHeader);
+  poke<std::uint32_t>(bytes, sec + 4, 10);  // SectionEntry.degree
+  poke<std::uint32_t>(bytes, 28, 10);       // FileHeader.max_degree
+  write_file(path, bytes);
+  const LookupTable table = LookupTable::open(path);
+  ASSERT_TRUE(table.covers(10));
+  util::Rng rng(43);
+  const geom::Net net = testing::random_net(rng, 10);
+  EXPECT_EQ(table.query(net).frontier, dw::pareto_frontier(net));
 }
 
 }  // namespace
