@@ -101,6 +101,40 @@ int main(int argc, char** argv) {
   check(exit_code(run("\"" + cli + "\" route " + nets + " --method nope")) ==
             2,
         "unknown --method rejected with exit code 2");
+
+  // The method surface, byte for byte: the --list-methods table and the
+  // unknown-method diagnostic.
+  const std::string methods_out = "cli_trace_methods.txt";
+  check(run("\"" + cli + "\" route --list-methods > " + methods_out) == 0,
+        "route --list-methods to a file succeeds");
+  check(read_file(methods_out) ==
+            "method     frontier  param     description\n"
+            "patlabor   yes       -         full Pareto frontier (exact <= "
+            "lambda, local search above)\n"
+            "pd         sweep     alpha     Prim-Dijkstra spanning trees "
+            "over an alpha sweep\n"
+            "pdii       sweep     alpha     PD-II: Prim-Dijkstra + "
+            "Steinerize/edge substitution\n"
+            "salt       sweep     epsilon   SALT shallow-light trees over an "
+            "epsilon sweep\n"
+            "ysd        sweep     beta      YSD weighted-sum stand-in over a "
+            "beta sweep\n"
+            "rsmt       single    -         rectilinear Steiner minimum tree "
+            "(single tree)\n"
+            "rsma       single    -         rectilinear Steiner minimum "
+            "arborescence (single tree)\n",
+        "--list-methods prints the golden method table");
+  std::remove(methods_out.c_str());
+  const std::string flute_err = "cli_trace_flute.err";
+  check(exit_code(run("\"" + cli + "\" route " + nets + " --method flute 2> " +
+                      flute_err)) == 2,
+        "--method flute rejected with exit code 2");
+  check(read_file(flute_err)
+                .rfind("error: unknown method 'flute' (valid: patlabor pd "
+                       "pdii salt ysd rsmt rsma)\n",
+                       0) == 0,
+        "unknown-method diagnostic names every valid method");
+  std::remove(flute_err.c_str());
   check(exit_code(run("\"" + cli + "\" route " + nets +
                       " --method pd --params 0.5,oops")) == 2,
         "non-numeric --params rejected with exit code 2");
