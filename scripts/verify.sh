@@ -355,12 +355,12 @@ echo "== obsdiff gate: self-compare + perturbed seed =="
 )
 
 if [[ $run_asan -eq 1 ]]; then
-  echo "== ASan+UBSan: tree / refine / rsmt / dw / lut / pareto / exactlp / serve / io tests =="
+  echo "== ASan+UBSan: tree / refine / rsmt / dw / lut / pareto / exactlp / engine / events / serve / io tests =="
   cmake -B build-asan -S . -G Ninja -DPATLABOR_ASAN=ON
   cmake --build build-asan -j \
     --target test_tree test_refine test_rsmt test_dw test_lut \
     test_lut_format test_pareto test_exactlp test_properties test_core \
-    test_serve test_eval_io
+    test_engine test_events test_serve test_eval_io
   (
     cd build-asan
     export ASAN_OPTIONS="detect_leaks=1:halt_on_error=1"
@@ -375,6 +375,8 @@ if [[ $run_asan -eq 1 ]]; then
     ./tests/test_lut
     ./tests/test_lut_format
     ./tests/test_core
+    ./tests/test_engine
+    ./tests/test_events
     ./tests/test_serve
     ./tests/test_eval_io
   )

@@ -123,15 +123,4 @@ CacheStats FrontierCache::stats() const {
   return s;
 }
 
-void FrontierCache::clear() {
-  for (const auto& sh : shards_) {
-    Lru dropped;  // destroyed after the lock is released
-    std::lock_guard<obs::TimedMutex> lock(sh->mu);
-    dropped.swap(sh->lru);
-    sh->index.clear();
-  }
-  population_.store(0, std::memory_order_relaxed);
-  PL_GAUGE_SET("engine.cache.entries", 0);
-}
-
 }  // namespace patlabor::engine

@@ -96,7 +96,6 @@ class FrontierCache {
   void insert(std::uint64_t key, CacheEntry entry);
 
   CacheStats stats() const;
-  void clear();
 
   std::size_t capacity() const { return capacity_; }
 

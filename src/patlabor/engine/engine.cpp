@@ -5,11 +5,16 @@
 #include <stdexcept>
 #include <utility>
 
+#include "patlabor/baselines/pd.hpp"
+#include "patlabor/baselines/salt.hpp"
+#include "patlabor/baselines/ysd.hpp"
 #include "patlabor/eval/metrics.hpp"
 #include "patlabor/geom/canonical.hpp"
 #include "patlabor/obs/events.hpp"
 #include "patlabor/obs/obs.hpp"
 #include "patlabor/par/ordered.hpp"
+#include "patlabor/rsma/rsma.hpp"
+#include "patlabor/rsmt/rsmt.hpp"
 #include "patlabor/util/timer.hpp"
 
 namespace patlabor::engine {
@@ -38,6 +43,25 @@ std::vector<tree::RoutingTree> map_back(
   return out;
 }
 
+/// The six baselines: every tree of the method's sweep over `params`, or
+/// its single tree (rsmt / rsma).  PatLabor never reaches here; it routes
+/// behind the frontier cache (Engine::route_patlabor).
+std::vector<tree::RoutingTree> route_baseline(Method method,
+                                              const geom::Net& net,
+                                              std::span<const double> params,
+                                              bool refine) {
+  switch (method) {
+    case Method::kPd: return baselines::pd_sweep(net, params, {false});
+    case Method::kPdii: return baselines::pd_sweep(net, params, {true});
+    case Method::kSalt: return baselines::salt_sweep(net, params, {refine});
+    case Method::kYsd: return baselines::ysd_sweep(net, params, {refine});
+    case Method::kRsmt: return {rsmt::rsmt(net)};
+    case Method::kRsma: return {rsma::rsma(net)};
+    case Method::kPatLabor: break;
+  }
+  return {};
+}
+
 }  // namespace
 
 Engine::Engine(EngineOptions options)
@@ -58,17 +82,6 @@ const lut::LookupTable* Engine::table() const {
 }
 
 par::ThreadPool* Engine::pool() const { return private_pool_.get(); }
-
-RouterContext Engine::context() const {
-  RouterContext ctx;
-  ctx.table = table();
-  ctx.policy = options_.policy;
-  ctx.pool = pool();
-  ctx.lambda = options_.lambda;
-  ctx.iteration_factor = options_.iteration_factor;
-  ctx.refine = options_.refine;
-  return ctx;
-}
 
 core::PatLaborOptions Engine::patlabor_options(
     par::ThreadPool* task_pool) const {
@@ -155,11 +168,11 @@ RouteResponse Engine::route_impl(const geom::Net& net,
   if (method == Method::kPatLabor) {
     r = route_patlabor(net, event, task_pool);
   } else {
-    RouterContext ctx = context();
-    ctx.pool = task_pool;
-    const std::unique_ptr<Router> router =
-        registry_.make(request.method, ctx, request.params);
-    std::vector<tree::RoutingTree> trees = router->route(net);
+    std::vector<tree::RoutingTree> trees =
+        request.params.empty()
+            ? route_baseline(method, net, default_params(method),
+                             options_.refine)
+            : route_baseline(method, net, request.params, options_.refine);
 
     // Pareto-filter the method's output into the uniform frontier shape:
     // one representative tree per nondominated objective, w ascending.

@@ -9,9 +9,10 @@
 //   auto r = eng.route(net, {.method = "patlabor"});
 //   auto all = eng.route_batch(nets, {.method = "salt"});
 //
-// Methods are resolved by name through the MethodRegistry (see
-// registry.hpp); `patlabor` additionally runs behind the canonicalization-
-// keyed frontier cache:
+// Methods are resolved by name through the method table (registry.hpp):
+// the six baselines run through one switch and are Pareto-filtered into
+// the same response shape, while `patlabor` runs behind the
+// canonicalization-keyed frontier cache:
 //
 //   * exact regime (degree <= lambda, where the frontier is provably
 //     exact): the net is canonicalized under translation / axis swap /
@@ -42,7 +43,6 @@
 #include "patlabor/core/patlabor.hpp"
 #include "patlabor/engine/cache.hpp"
 #include "patlabor/engine/registry.hpp"
-#include "patlabor/engine/router.hpp"
 #include "patlabor/geom/net.hpp"
 #include "patlabor/lut/lut.hpp"
 #include "patlabor/par/pool.hpp"
@@ -144,13 +144,8 @@ class Engine {
       std::span<const geom::Net> nets, std::span<const RouteRequest> requests,
       std::vector<obs::NetEvent>& events_out) const;
 
-  const MethodRegistry& registry() const { return registry_; }
-  /// The context handed to Routers (table resolved, pool attached).
-  RouterContext context() const;
-
   bool cache_enabled() const { return cache_enabled_; }
   CacheStats cache_stats() const { return cache_.stats(); }
-  void clear_cache() { cache_.clear(); }
 
   /// The pool route_batch runs on: the engine's private pool when
   /// options.jobs != 0, else the process-global pool.  Exposed so callers
@@ -181,7 +176,6 @@ class Engine {
   EngineOptions options_;
   std::optional<lut::LookupTable> owned_table_;
   std::unique_ptr<par::ThreadPool> private_pool_;
-  MethodRegistry registry_;
   mutable FrontierCache cache_;
   bool cache_enabled_ = true;
 };

@@ -1,37 +1,23 @@
 #include "patlabor/engine/registry.hpp"
 
 #include <stdexcept>
-#include <utility>
+#include <string>
 
 #include "patlabor/baselines/pd.hpp"
 #include "patlabor/baselines/salt.hpp"
 #include "patlabor/baselines/ysd.hpp"
-#include "patlabor/core/patlabor.hpp"
-#include "patlabor/rsma/rsma.hpp"
-#include "patlabor/rsmt/rsmt.hpp"
 
 namespace patlabor::engine {
 
-std::string_view method_name(Method m) {
-  switch (m) {
-    case Method::kPatLabor: return "patlabor";
-    case Method::kPd: return "pd";
-    case Method::kPdii: return "pdii";
-    case Method::kSalt: return "salt";
-    case Method::kYsd: return "ysd";
-    case Method::kRsmt: return "rsmt";
-    case Method::kRsma: return "rsma";
-  }
-  return "?";
-}
-
 Method parse_method(std::string_view name) {
-  for (Method m : {Method::kPatLabor, Method::kPd, Method::kPdii,
-                   Method::kSalt, Method::kYsd, Method::kRsmt, Method::kRsma})
-    if (name == method_name(m)) return m;
-  throw std::invalid_argument(
-      "unknown method '" + std::string(name) +
-      "' (valid: patlabor pd pdii salt ysd rsmt rsma)");
+  std::string valid;
+  for (std::size_t i = 0; i < kMethods.size(); ++i) {
+    if (name == kMethods[i].name) return static_cast<Method>(i);
+    valid += i == 0 ? "" : " ";
+    valid += kMethods[i].name;
+  }
+  throw std::invalid_argument("unknown method '" + std::string(name) +
+                              "' (valid: " + valid + ")");
 }
 
 std::vector<double> default_params(Method m) {
@@ -45,114 +31,6 @@ std::vector<double> default_params(Method m) {
     case Method::kRsma: return {};
   }
   return {};
-}
-
-namespace {
-
-/// A Router wrapping one of the free functions; sweeps carry their
-/// parameter vector, single-tree methods ignore it.
-class FnRouter final : public Router {
- public:
-  FnRouter(RouterInfo info, Method method, RouterContext ctx,
-           std::vector<double> params)
-      : info_(std::move(info)),
-        method_(method),
-        ctx_(std::move(ctx)),
-        params_(std::move(params)) {}
-
-  std::vector<tree::RoutingTree> route(const geom::Net& net) const override {
-    const baselines::SweepOptions refine{ctx_.refine};
-    switch (method_) {
-      case Method::kPatLabor: {
-        core::PatLaborOptions opt;
-        opt.lambda = ctx_.lambda;
-        opt.table = ctx_.table;
-        opt.policy = ctx_.policy;
-        opt.iteration_factor = ctx_.iteration_factor;
-        opt.refine = ctx_.refine;
-        opt.pool = ctx_.pool;
-        return core::patlabor(net, opt).trees;
-      }
-      case Method::kPd:
-        return baselines::pd_sweep(net, params_,
-                                   baselines::SweepOptions{false});
-      case Method::kPdii:
-        return baselines::pd_sweep(net, params_,
-                                   baselines::SweepOptions{true});
-      case Method::kSalt:
-        return baselines::salt_sweep(net, params_, refine);
-      case Method::kYsd:
-        return baselines::ysd_sweep(net, params_, refine);
-      case Method::kRsmt:
-        return {rsmt::rsmt(net)};
-      case Method::kRsma:
-        return {rsma::rsma(net)};
-    }
-    return {};
-  }
-
-  const RouterInfo& info() const override { return info_; }
-
- private:
-  RouterInfo info_;
-  Method method_;
-  RouterContext ctx_;
-  std::vector<double> params_;
-};
-
-}  // namespace
-
-MethodRegistry::MethodRegistry() {
-  const auto add = [this](Method m, std::string description,
-                          bool produces_frontier, std::string sweep_param) {
-    Entry e;
-    e.info = RouterInfo{std::string(method_name(m)), std::move(description),
-                        produces_frontier, std::move(sweep_param)};
-    e.method = m;
-    entries_.push_back(std::move(e));
-  };
-  add(Method::kPatLabor,
-      "full Pareto frontier (exact <= lambda, local search above)", true, "");
-  add(Method::kPd, "Prim-Dijkstra spanning trees over an alpha sweep", false,
-      "alpha");
-  add(Method::kPdii, "PD-II: Prim-Dijkstra + Steinerize/edge substitution",
-      false, "alpha");
-  add(Method::kSalt, "SALT shallow-light trees over an epsilon sweep", false,
-      "epsilon");
-  add(Method::kYsd, "YSD weighted-sum stand-in over a beta sweep", false,
-      "beta");
-  add(Method::kRsmt, "rectilinear Steiner minimum tree (single tree)", false,
-      "");
-  add(Method::kRsma, "rectilinear Steiner minimum arborescence (single tree)",
-      false, "");
-}
-
-std::vector<std::string> MethodRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.info.name);
-  return out;
-}
-
-const MethodRegistry::Entry& MethodRegistry::find(
-    std::string_view name) const {
-  for (const Entry& e : entries_)
-    if (e.info.name == name) return e;
-  parse_method(name);  // throws the canonical unknown-method error
-  throw std::invalid_argument("unknown method '" + std::string(name) + "'");
-}
-
-const RouterInfo& MethodRegistry::info(std::string_view name) const {
-  return find(name).info;
-}
-
-std::unique_ptr<Router> MethodRegistry::make(
-    std::string_view name, const RouterContext& ctx,
-    std::span<const double> params) const {
-  const Entry& e = find(name);
-  std::vector<double> p(params.begin(), params.end());
-  if (p.empty()) p = default_params(e.method);
-  return std::make_unique<FnRouter>(e.info, e.method, ctx, std::move(p));
 }
 
 }  // namespace patlabor::engine

@@ -387,8 +387,8 @@ LookupTable::QueryResult LookupTable::query(const Net& net) const {
   RankCoords xs{}, ys{};
   Canonical cj;
   Entry found;
-  // The file format admits sections past kMaxLutDegree, but no pattern
-  // (and no query) reaches them.
+  // No table covers a degree past kMaxLutDegree (the loader refuses such
+  // sections), and no pattern holds one.
   if (n <= kMaxLutDegree) {
     cj = canonical_joint(pattern_of(net, xs, ys));
     found = find(n, cj.code);

@@ -176,16 +176,20 @@ Parsed parse_v2(std::span<const std::uint8_t> bytes, const std::string& path) {
 
   bool seen_meta = false;
   bool seen_partial = false;
-  std::uint32_t seen_degrees = 0;  // bitmask, degree <= 15
+  std::uint32_t seen_degrees = 0;  // bitmask, degree <= kMaxLutDegree
   for (std::size_t si = 0; si < out.sections.size(); ++si) {
     const SectionEntry& s = out.sections[si];
     switch (s.kind) {
       case kSectionDegree:
       case kSectionPartial: {
-        if (s.degree < 4 || s.degree > 15)
+        // No pattern holds more than kMaxLutDegree pins: a larger section
+        // would claim degrees that every query then misses.
+        if (s.degree < 4 ||
+            s.degree > static_cast<std::uint32_t>(kMaxLutDegree))
           throw FormatError(path + ": section " + std::to_string(si) +
                             " has invalid degree " +
-                            std::to_string(s.degree));
+                            std::to_string(s.degree) + " (valid 4.." +
+                            std::to_string(kMaxLutDegree) + ")");
         if (seen_degrees & (1u << s.degree))
           throw FormatError(path + ": duplicate sections for degree " +
                             std::to_string(s.degree));
@@ -522,7 +526,8 @@ bool TableIo::load_checkpoint(const std::string& path,
       throw FormatError(path +
                         ": partial slice present but no degree in progress");
   } else {
-    if (head.degree < 4 || head.degree > 15)
+    if (head.degree < 4 ||
+        head.degree > static_cast<std::uint32_t>(kMaxLutDegree))
       throw FormatError(path + ": invalid in-progress degree " +
                         std::to_string(head.degree));
     if (partial == nullptr)

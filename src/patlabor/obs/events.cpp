@@ -1,5 +1,6 @@
 #include "patlabor/obs/events.hpp"
 
+#include "patlabor/obs/json.hpp"
 #include "patlabor/obs/obs.hpp"
 
 #include <algorithm>
@@ -61,34 +62,11 @@ void install_exit_hooks_once() {
   (void)installed;
 }
 
-void append_json_string(const std::string& s, std::string& out) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_kv(std::string& out, const char* key, const std::string& value) {
   out += '"';
   out += key;
   out += "\":";
-  append_json_string(value, out);
+  json::append_json_string(value, out);
 }
 
 template <typename Int>
@@ -122,8 +100,6 @@ void remove_flush_hook(std::uint64_t token) {
                                  }),
                   reg.hooks.end());
 }
-
-void install_flush_at_exit() { install_exit_hooks_once(); }
 
 std::string build_git_sha() {
 #ifdef PATLABOR_GIT_SHA
@@ -226,9 +202,9 @@ void EventSink::write_manifest(const RunManifest& manifest) {
   }
   for (const auto& [key, value] : m.extra) {
     line += ',';
-    append_json_string(key, line);
+    json::append_json_string(key, line);
     line += ':';
-    append_json_string(value, line);
+    json::append_json_string(value, line);
   }
   line += "}\n";
   write_line(line);

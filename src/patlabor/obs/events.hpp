@@ -146,10 +146,6 @@ class EventSink {
 std::uint64_t add_flush_hook(std::function<void()> hook);
 void remove_flush_hook(std::uint64_t token);
 
-/// Ensures the atexit + terminate flush hooks are installed even when no
-/// EventSink exists (add_flush_hook callers without an event file).
-void install_flush_at_exit();
-
 /// Git revision baked in at configure time ("unknown" outside a checkout).
 std::string build_git_sha();
 

@@ -1,6 +1,7 @@
 #include "patlabor/obs/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace patlabor::obs::json {
@@ -187,6 +188,29 @@ std::optional<Value> parse(std::string_view text) {
   p.skip_ws();
   if (!p.eof()) return std::nullopt;  // trailing garbage
   return v;
+}
+
+void append_json_string(std::string_view s, std::string& out) {
+  out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char hex[8];
+          std::snprintf(hex, sizeof hex, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += hex;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
 }
 
 }  // namespace patlabor::obs::json

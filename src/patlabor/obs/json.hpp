@@ -1,5 +1,6 @@
 // Minimal strict JSON parser — just enough to round-trip-validate the
-// trace/report JSON this library emits (and for tests to inspect it).
+// trace/report JSON this library emits (and for tests to inspect it) —
+// plus the one string escaper every JSON writer in the repository uses.
 // Not a general-purpose library: numbers become double, \uXXXX escapes
 // are decoded only for the ASCII range (others become '?').
 #pragma once
@@ -34,5 +35,10 @@ struct Value {
 /// Parses the entire input (trailing whitespace allowed, trailing garbage
 /// rejected).  Returns nullopt on any syntax error.
 std::optional<Value> parse(std::string_view text);
+
+/// Appends `s` as a JSON string literal, quotes included: `"` and `\`
+/// are backslash-escaped, \n \r \t by name and every other control
+/// character as \u00XX, so parse() gives back exactly `s`.
+void append_json_string(std::string_view s, std::string& out);
 
 }  // namespace patlabor::obs::json

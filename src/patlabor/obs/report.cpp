@@ -6,34 +6,13 @@
 #include <map>
 #include <stdexcept>
 
-#include "patlabor/io/csv.hpp"
+#include "patlabor/obs/json.hpp"
 #include "patlabor/util/str.hpp"
 #include "patlabor/util/timer.hpp"
 
 namespace patlabor::obs {
 
 namespace {
-
-void escape_json(const std::string& s, std::string& out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 std::string num_json(double v) {
   char buf[40];
@@ -152,18 +131,16 @@ std::string report_json(const Snapshot& snap,
   for (const auto& [name, value] : snap.counters) {
     if (!first) out += ",";
     first = false;
-    out += "\"";
-    escape_json(name, out);
-    out += "\":" + std::to_string(value);
+    json::append_json_string(name, out);
+    out += ":" + std::to_string(value);
   }
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : snap.histograms) {
     if (!first) out += ",";
     first = false;
-    out += "\"";
-    escape_json(name, out);
-    out += "\":{\"count\":" + std::to_string(h.count) +
+    json::append_json_string(name, out);
+    out += ":{\"count\":" + std::to_string(h.count) +
            ",\"sum\":" + std::to_string(h.sum) +
            ",\"min\":" + std::to_string(h.min) +
            ",\"max\":" + std::to_string(h.max) +
@@ -174,9 +151,9 @@ std::string report_json(const Snapshot& snap,
   for (const PhaseRow& p : phases) {
     if (!first) out += ",";
     first = false;
-    out += "{\"name\":\"";
-    escape_json(p.name, out);
-    out += "\",\"count\":" + std::to_string(p.count) +
+    out += "{\"name\":";
+    json::append_json_string(p.name, out);
+    out += ",\"count\":" + std::to_string(p.count) +
            ",\"total_s\":" + num_json(p.total_s) +
            ",\"self_s\":" + num_json(p.self_s) + "}";
   }
@@ -191,22 +168,6 @@ void write_report_json(const std::string& path, const Snapshot& snap,
   if (!out) throw std::runtime_error("cannot open report file " + path);
   out << report_json(snap, phases, wall_seconds) << "\n";
   if (!out) throw std::runtime_error("failed writing report file " + path);
-}
-
-void write_report_csv(const std::string& path, const Snapshot& snap,
-                      const std::vector<PhaseRow>& phases) {
-  io::CsvWriter csv(path, {"kind", "name", "count", "total_s", "self_s"});
-  for (const auto& [name, value] : snap.counters)
-    csv.row({"counter", name,
-             io::CsvWriter::num(static_cast<long long>(value)), "", ""});
-  for (const auto& [name, h] : snap.histograms)
-    csv.row({"histogram", name,
-             io::CsvWriter::num(static_cast<long long>(h.count)),
-             io::CsvWriter::num(static_cast<long long>(h.sum)), ""});
-  for (const PhaseRow& p : phases)
-    csv.row({"phase", p.name,
-             io::CsvWriter::num(static_cast<long long>(p.count)),
-             io::CsvWriter::num(p.total_s), io::CsvWriter::num(p.self_s)});
 }
 
 }  // namespace patlabor::obs

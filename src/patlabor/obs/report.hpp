@@ -1,5 +1,5 @@
 // Report layer: renders stats snapshots and drained trace events as
-// aligned text tables (io::AsciiTable), CSV (io::CsvWriter) and JSON.
+// aligned text tables (io::AsciiTable) and JSON.
 //
 // Lives in a separate library (pl_obs_report) from the core obs machinery
 // so that instrumented low-level libraries (tree, dw, ...) can link pl_obs
@@ -52,10 +52,5 @@ std::string report_json(const Snapshot& snap,
 void write_report_json(const std::string& path, const Snapshot& snap,
                        const std::vector<PhaseRow>& phases,
                        double wall_seconds);
-
-/// Writes counters (name,value) and phases (name,count,total_s,self_s) as
-/// one CSV with a `kind` discriminator column.
-void write_report_csv(const std::string& path, const Snapshot& snap,
-                      const std::vector<PhaseRow>& phases);
 
 }  // namespace patlabor::obs

@@ -7,6 +7,8 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "patlabor/obs/json.hpp"
+
 namespace patlabor::obs {
 
 namespace {
@@ -53,27 +55,6 @@ std::shared_ptr<ThreadBuf> lane_buf(std::uint32_t tid) {
   for (const auto& b : r.bufs)
     if (b->tid == tid) return b;
   return nullptr;
-}
-
-void escape_json(const std::string& s, std::string& out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -191,16 +172,16 @@ std::string trace_json(const std::vector<TraceEvent>& events) {
     first = false;
     out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
     out += std::to_string(tid);
-    out += ",\"args\":{\"name\":\"";
-    escape_json(name, out);
-    out += "\"}}";
+    out += ",\"args\":{\"name\":";
+    json::append_json_string(name, out);
+    out += "}}";
   }
   for (const TraceEvent& e : events) {
     if (!first) out += ",";
     first = false;
-    out += "{\"name\":\"";
-    escape_json(e.name, out);
-    out += "\",\"cat\":\"patlabor\",\"ph\":\"X\",\"ts\":";
+    out += "{\"name\":";
+    json::append_json_string(e.name, out);
+    out += ",\"cat\":\"patlabor\",\"ph\":\"X\",\"ts\":";
     out += std::to_string(e.ts_us);
     out += ",\"dur\":";
     out += std::to_string(e.dur_us);

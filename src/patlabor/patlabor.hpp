@@ -6,7 +6,7 @@
 //   geom::Net net = ...;                        // pins[0] is the source
 //   engine::Engine eng({.table = &table});      // long-lived facade
 //   auto r = eng.route(net);                    // cached PatLabor frontier
-//   auto s = eng.route(net, {.method = "salt"});// any registered method
+//   auto s = eng.route(net, {.method = "salt"});// any method of the table
 // or the underlying free functions:
 //   auto exact   = dw::pareto_dw(net);          // exact frontier, n <= ~10
 //   auto table   = lut::LookupTable::generate(6);
@@ -27,7 +27,6 @@
 #include "patlabor/engine/cache.hpp"
 #include "patlabor/engine/engine.hpp"
 #include "patlabor/engine/registry.hpp"
-#include "patlabor/engine/router.hpp"
 #include "patlabor/eval/curves.hpp"
 #include "patlabor/eval/metrics.hpp"
 #include "patlabor/exactlp/dominance_prover.hpp"

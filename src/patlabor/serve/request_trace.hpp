@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <string>
 
+#include "patlabor/obs/json.hpp"
 #include "patlabor/obs/trace.hpp"
 
 namespace patlabor::serve {
@@ -69,13 +70,9 @@ inline void append_trace_jsonl(const RequestTrace& t, bool in_flight,
   out += "{\"type\":\"request\",";
   kv("conn", t.conn_id);
   kv("id", t.request_id);
-  out += "\"tag\":\"";
-  for (char c : t.tag)  // tags travel the wire; keep the dump parseable
-    if (c == '"' || c == '\\')
-      (out += '\\') += c;
-    else if (static_cast<unsigned char>(c) >= 0x20)
-      out += c;
-  out += "\",";
+  out += "\"tag\":";
+  obs::json::append_json_string(t.tag, out);
+  out += ',';
   kv("degree", t.degree);
   out += "\"in_flight\":";
   out += in_flight ? "true," : "false,";

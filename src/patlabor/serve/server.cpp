@@ -226,15 +226,6 @@ FlightRecorder::DumpStats Server::dump_flight(const std::string& path) const {
   return flight_.dump(target);
 }
 
-void Server::request_event_sink(obs::EventSink* sink) {
-  {
-    std::lock_guard<std::mutex> lock(sink_mu_);
-    pending_sink_ = sink;
-  }
-  sink_swap_requested_.store(true, std::memory_order_release);
-  queue_cv_.notify_all();
-}
-
 void Server::note_client(const std::string& tag, std::uint64_t requests,
                          std::uint64_t bytes, std::uint64_t errors) {
   bool overflow = false;
@@ -552,15 +543,8 @@ void Server::dispatch_loop() {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock, [&] {
         return !queue_.empty() || dispatcher_stop_ ||
-               reload_requested_.load(std::memory_order_acquire) ||
-               sink_swap_requested_.load(std::memory_order_acquire);
+               reload_requested_.load(std::memory_order_acquire);
       });
-      if (sink_swap_requested_.exchange(false, std::memory_order_acq_rel)) {
-        // Like reloads: the dispatcher is the only emitter, so swapping
-        // between batches needs no synchronization with emission.
-        std::lock_guard<std::mutex> slock(sink_mu_);
-        sink_ = pending_sink_;
-      }
       if (reload_requested_.exchange(false, std::memory_order_acq_rel)) {
         // Safe without further locking: this thread is the only one that
         // ever routes, so nothing is using the old engine concurrently.

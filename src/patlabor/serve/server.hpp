@@ -149,11 +149,6 @@ class Server {
     return flight_.snapshot();
   }
 
-  /// Asks the dispatcher to emit the events of batches from the next one on
-  /// into `sink` (nullptr = stop emitting); swapped between batches, like
-  /// reloads.  The sink must outlive its tenure.
-  void request_event_sink(obs::EventSink* sink);
-
  private:
   struct Conn;
   struct Job;
@@ -185,12 +180,9 @@ class Server {
   FlightRecorder flight_;
   std::uint64_t flush_hook_token_ = 0;  // 0 = no hook registered
 
-  // Event emission is server-owned (ServerOptions::engine): `sink_` is
-  // dispatcher-only; swaps wait in the pending slot until between batches.
+  // Event emission is server-owned (ServerOptions::engine): only the
+  // dispatcher emits into `sink_`.
   obs::EventSink* sink_ = nullptr;
-  std::mutex sink_mu_;
-  obs::EventSink* pending_sink_ = nullptr;  // under sink_mu_
-  std::atomic<bool> sink_swap_requested_{false};
   std::uint64_t next_batch_id_ = 0;  // dispatcher-only
 
   mutable std::mutex clients_mu_;

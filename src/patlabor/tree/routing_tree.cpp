@@ -137,11 +137,6 @@ std::size_t RoutingTree::add_steiner(const Point& p, std::int32_t parent) {
   return nodes_.size() - 1;
 }
 
-void RoutingTree::move_node(std::size_t v, const Point& p) {
-  assert(!is_pin(v));
-  nodes_[v] = p;
-}
-
 Length RoutingTree::wirelength() const {
   Length w = 0;
   for (std::size_t v = 0; v < nodes_.size(); ++v)

@@ -83,9 +83,6 @@ class RoutingTree {
   /// Re-parents node v (caller must keep the structure acyclic).
   void set_parent(std::size_t v, std::int32_t p) { parent_[v] = p; }
 
-  /// Moves a Steiner node (pins must not be moved).
-  void move_node(std::size_t v, const Point& p);
-
   /// Total wirelength: sum of L1 edge lengths.
   Length wirelength() const;
 

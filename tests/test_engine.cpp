@@ -1,6 +1,6 @@
 // The engine subsystem: geom::canonicalize properties (invariance under
 // translation / axis swap / reflection), the frontier cache (LRU, pin
-// validation, hit/miss accounting), the method registry, and the engine's
+// validation, hit/miss accounting), the method table, and the engine's
 // determinism contract — cache on, cache off, a cache hit, and any job
 // count produce bit-identical frontiers and trees, and the PatLabor path
 // matches direct core::patlabor.
@@ -254,21 +254,31 @@ TEST(FrontierCache, PerShardStatsSumToTheTotals) {
   EXPECT_GE(populated, 2u);
 }
 
-// ---- MethodRegistry ----
+// ---- Method table ----
 
-TEST(MethodRegistry, CoversAllSevenConstructors) {
-  const engine::MethodRegistry registry;
-  const std::vector<std::string> expected{"patlabor", "pd", "pdii", "salt",
-                                          "ysd",      "rsmt", "rsma"};
-  EXPECT_EQ(registry.names(), expected);
-  EXPECT_TRUE(registry.info("patlabor").produces_frontier);
-  EXPECT_EQ(registry.info("salt").sweep_param, "epsilon");
-  EXPECT_EQ(registry.info("pd").sweep_param, "alpha");
-  EXPECT_EQ(registry.info("ysd").sweep_param, "beta");
-  EXPECT_THROW(registry.info("nope"), std::invalid_argument);
+TEST(MethodTable, CoversAllSevenConstructors) {
+  const std::vector<std::string_view> expected{"patlabor", "pd",   "pdii",
+                                               "salt",     "ysd",  "rsmt",
+                                               "rsma"};
+  std::vector<std::string_view> names;
+  for (const engine::MethodInfo& m : engine::kMethods) names.push_back(m.name);
+  EXPECT_EQ(names, expected);
+  for (std::size_t i = 0; i < engine::kMethods.size(); ++i) {
+    const auto method = static_cast<engine::Method>(i);
+    EXPECT_EQ(engine::method_name(method), expected[i]);
+    EXPECT_EQ(engine::parse_method(expected[i]), method);
+  }
+  const auto info = [](engine::Method m) {
+    return engine::kMethods[static_cast<std::size_t>(m)];
+  };
+  EXPECT_TRUE(info(engine::Method::kPatLabor).produces_frontier);
+  EXPECT_EQ(info(engine::Method::kSalt).sweep_param, "epsilon");
+  EXPECT_EQ(info(engine::Method::kPd).sweep_param, "alpha");
+  EXPECT_EQ(info(engine::Method::kYsd).sweep_param, "beta");
+  EXPECT_THROW(engine::parse_method("nope"), std::invalid_argument);
 }
 
-TEST(MethodRegistry, DefaultParamsMatchTheExperimentSweeps) {
+TEST(MethodTable, DefaultParamsMatchTheExperimentSweeps) {
   EXPECT_EQ(engine::default_params(engine::Method::kPd),
             baselines::default_alphas());
   EXPECT_EQ(engine::default_params(engine::Method::kPdii),
@@ -332,7 +342,8 @@ TEST_F(EngineSuite, EveryRegisteredMethodRoutesEveryNet) {
   util::Rng rng(21);
   const std::vector<Net> nets = {netgen::uniform_net(rng, 5),
                                  netgen::clustered_net(rng, 12)};
-  for (const std::string& name : eng.registry().names()) {
+  for (const engine::MethodInfo& m : engine::kMethods) {
+    const std::string name(m.name);
     for (const Net& net : nets) {
       const engine::RouteResponse r = eng.route(net, {.method = name});
       ASSERT_FALSE(r.frontier.empty()) << name;

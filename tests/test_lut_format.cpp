@@ -429,17 +429,44 @@ TEST(LutFormat, HostileRankBeyondDegree) {
 }
 
 TEST(LutFormat, SectionBeyondMaxLutDegreeIsNeverQueried) {
-  // The container admits sections up to degree 15, past the 9 pins a
-  // pattern holds.  A table claiming degree 10 covers degree-10 nets, but
-  // its query must fall back to the numeric DW, not build a pattern.
+  // The container's degree field could say 10, past the 9 pins a pattern
+  // holds; such a section would only ever miss.  Every loader refuses it.
+  const std::size_t sec = sizeof(lut::FileHeader);
   const std::string path = tmp_path("degree10.bin");
   auto bytes = fresh_v2_bytes(path);
-  const std::size_t sec = sizeof(lut::FileHeader);
   poke<std::uint32_t>(bytes, sec + 4, 10);  // SectionEntry.degree
   poke<std::uint32_t>(bytes, 28, 10);       // FileHeader.max_degree
   write_file(path, bytes);
-  const LookupTable table = LookupTable::open(path);
-  ASSERT_TRUE(table.covers(10));
+  expect_open_error(path, "invalid degree 10");
+  EXPECT_THROW(lut::inspect_table_file(path), FormatError);
+
+  // Checkpoint resume parses the same container.
+  par::ThreadPool pool(2);
+  const std::string ck = tmp_path("degree10.ckpt");
+  std::remove(ck.c_str());
+  LookupTable::GenerateOptions opt;
+  opt.pool = &pool;
+  opt.checkpoint_path = ck;
+  opt.checkpoint_every = 4;
+  opt.abort_after_patterns = 6;
+  EXPECT_THROW(LookupTable::generate(5, opt), lut::GenerationAborted);
+  auto ck_bytes = read_file(ck);
+  poke<std::uint32_t>(ck_bytes, sec + 4, 10);
+  write_file(ck, ck_bytes);
+  opt.resume = true;
+  opt.abort_after_patterns = 0;
+  try {
+    (void)LookupTable::generate(5, opt);
+    FAIL() << "expected FormatError for " << ck;
+  } catch (const FormatError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(ck), std::string::npos) << what;
+    EXPECT_NE(what.find("invalid degree 10"), std::string::npos) << what;
+  }
+  std::remove(ck.c_str());
+
+  // A direct query above degree 9 falls back to the numeric DW.
+  const LookupTable table = LookupTable::generate(4);
   util::Rng rng(43);
   const geom::Net net = testing::random_net(rng, 10);
   EXPECT_EQ(table.query(net).frontier, dw::pareto_frontier(net));

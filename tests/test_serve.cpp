@@ -20,6 +20,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -32,6 +33,7 @@
 #include "patlabor/lut/lut.hpp"
 #include "patlabor/netgen/netgen.hpp"
 #include "patlabor/obs/events.hpp"
+#include "patlabor/obs/json.hpp"
 #include "patlabor/obs/metrics.hpp"
 #include "patlabor/obs/obs.hpp"
 #include "patlabor/serve/client.hpp"
@@ -460,6 +462,12 @@ TEST(ServeAdmission, BadMethodLambdaMismatchAndDegenerateNetRefused) {
           client.route(net, bad_method);
         } catch (const serve::ServeError& e) {
           EXPECT_EQ(e.code, serve::ErrorCode::kBadRequest);
+          // The same diagnostic the CLI prints for an unknown --method.
+          EXPECT_NE(std::string(e.what()).find(
+                        "unknown method 'no-such-router' (valid: patlabor pd "
+                        "pdii salt ysd rsmt rsma)"),
+                    std::string::npos)
+              << e.what();
           throw;
         }
       },
@@ -1125,6 +1133,31 @@ TEST(ServeObs, FlightDumpCoversEveryAdmittedRequest) {
     EXPECT_TRUE(found) << "request " << id << " missing from final dump";
   }
   std::remove(dump_file.c_str());
+}
+
+TEST(ServeObs, FlightDumpKeepsEveryTagCharacter) {
+  obs::set_enabled(true);
+  serve::Server server(base_options());
+  serve::Client client(server.socket_path());
+  // Tags are client-chosen bytes: quotes, backslashes and control
+  // characters must survive the dump's JSON encoding.
+  const std::string tag = "a\"b\\c\n\x01";
+  engine::RouteRequest request;
+  request.tag = tag;
+  client.route(make_nets(83, 1)[0], request);
+  server.stop();
+
+  const std::string dump_file =
+      "/tmp/pl_serve_test_tag_" + std::to_string(::getpid()) + ".jsonl";
+  server.dump_flight(dump_file);
+  const std::vector<std::string> lines = read_lines(dump_file);
+  std::remove(dump_file.c_str());
+  ASSERT_EQ(lines.size(), 1u);
+  const std::optional<obs::json::Value> record = obs::json::parse(lines[0]);
+  ASSERT_TRUE(record.has_value()) << lines[0];
+  const obs::json::Value* got = record->find("tag");
+  ASSERT_NE(got, nullptr) << lines[0];
+  EXPECT_EQ(got->str, tag);
 }
 
 TEST(ServeObs, TelemetryOffRecordsNoFlightEntries) {

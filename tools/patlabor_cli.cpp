@@ -228,17 +228,15 @@ int cmd_gen(int argc, char** argv) {
 }
 
 int list_methods() {
-  const engine::MethodRegistry registry;
   std::printf("%-10s %-9s %-9s %s\n", "method", "frontier", "param",
               "description");
-  for (const std::string& name : registry.names()) {
-    const engine::RouterInfo& info = registry.info(name);
-    std::printf("%-10s %-9s %-9s %s\n", name.c_str(),
-                info.produces_frontier ? "yes"
-                : info.sweep_param.empty() ? "single"
-                                           : "sweep",
-                info.sweep_param.empty() ? "-" : info.sweep_param.c_str(),
-                info.description.c_str());
+  for (const engine::MethodInfo& m : engine::kMethods) {
+    const std::string param(m.sweep_param.empty() ? "-" : m.sweep_param);
+    std::printf("%-10s %-9s %-9s %s\n", std::string(m.name).c_str(),
+                m.produces_frontier      ? "yes"
+                : m.sweep_param.empty() ? "single"
+                                         : "sweep",
+                param.c_str(), std::string(m.description).c_str());
   }
   return 0;
 }
