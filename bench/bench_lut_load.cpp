@@ -15,7 +15,7 @@
 //
 // Gates (exit 1): children B and C must agree on content_hash and produce
 // byte-identical route outputs, and child C's private mapping footprint
-// must be ~0.  Results land in BENCH_lut_load.json.
+// must be ~0.  Results are printed to stdout.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -272,27 +272,15 @@ int main() {
   }
 
   std::printf("open  %8.3f ms  VmHWM %8" PRIu64 " kB  hash %016llx  "
-              "(%.2f MB mapped)\n",
+              "(%.2f MB mapped, %.2f MB resident)\n",
               mm.load_wall * 1e3, mm.vmhwm_kb,
               static_cast<unsigned long long>(mm.content_hash),
-              static_cast<double>(mm.mapped_bytes) / 1e6);
+              static_cast<double>(mm.mapped_bytes) / 1e6,
+              static_cast<double>(mm.resident_bytes) / 1e6);
   std::printf("concurrent process: table Rss %" PRIu64 " kB, Pss %" PRIu64
               " kB, Shared_Clean %" PRIu64 " kB, private %" PRIu64 " kB\n",
               shared.rss_kb, shared.pss_kb, shared.shared_clean_kb,
               shared.private_kb);
-
-  bench::BenchJsonWriter json("lut_load");
-  json.add_run("mmap", 1, mm.load_wall, nets.size(),
-               {{"vmhwm_kb", static_cast<double>(mm.vmhwm_kb)},
-                {"mapped_bytes", static_cast<double>(mm.mapped_bytes)},
-                {"resident_bytes", static_cast<double>(mm.resident_bytes)}});
-  json.add_run("mmap_concurrent", 2, shared.load_wall, nets.size(),
-               {{"table_rss_kb", static_cast<double>(shared.rss_kb)},
-                {"table_pss_kb", static_cast<double>(shared.pss_kb)},
-                {"table_shared_clean_kb",
-                 static_cast<double>(shared.shared_clean_kb)},
-                {"table_private_kb", static_cast<double>(shared.private_kb)}});
-  json.write();
 
   bool pass = true;
   if (mm.content_hash != shared.content_hash) {

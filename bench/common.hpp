@@ -23,8 +23,7 @@
 
 namespace patlabor::bench {
 
-/// Directory for new bench artifacts (BENCH_*.json, CSVs, SVGs, phase
-/// reports): PATLABOR_BENCH_OUT if set, else bench/out/ under the CWD,
+/// Directory for new bench artifacts (CSVs, SVGs, phase reports): PATLABOR_BENCH_OUT if set, else bench/out/ under the CWD,
 /// created on first use.  Historical result files tracked at the repo root
 /// are left where they are; only freshly produced artifacts land here.
 inline const std::string& out_dir() {
@@ -109,59 +108,6 @@ inline int env_int(const char* name, int def) {
   const char* v = std::getenv(name);
   return v != nullptr ? std::atoi(v) : def;
 }
-
-/// Machine-readable perf record written next to the CSVs: BENCH_<name>.json
-/// holds one entry per measured run (label, jobs, wall seconds, net count,
-/// free-form numeric metrics), so the perf trajectory across PRs can be
-/// diffed without parsing ASCII tables.
-class BenchJsonWriter {
- public:
-  explicit BenchJsonWriter(std::string name) : name_(std::move(name)) {}
-
-  void add_run(const std::string& label, std::size_t jobs,
-               double wall_seconds, std::size_t net_count,
-               std::vector<std::pair<std::string, double>> metrics = {}) {
-    runs_.push_back(Run{label, jobs, wall_seconds, net_count,
-                        std::move(metrics)});
-  }
-
-  /// Writes BENCH_<name>.json under out_dir(); returns the path.
-  std::string write() const {
-    const std::string path = out_path("BENCH_" + name_ + ".json");
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-      std::printf("[bench] cannot write %s\n", path.c_str());
-      return path;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"runs\": [", name_.c_str());
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-      const Run& r = runs_[i];
-      std::fprintf(f,
-                   "%s\n    {\"label\": \"%s\", \"jobs\": %zu, "
-                   "\"wall_seconds\": %.9g, \"net_count\": %zu",
-                   i == 0 ? "" : ",", r.label.c_str(), r.jobs,
-                   r.wall_seconds, r.net_count);
-      for (const auto& [k, v] : r.metrics)
-        std::fprintf(f, ", \"%s\": %.9g", k.c_str(), v);
-      std::fprintf(f, "}");
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    std::printf("Bench JSON: %s\n", path.c_str());
-    return path;
-  }
-
- private:
-  struct Run {
-    std::string label;
-    std::size_t jobs = 1;
-    double wall_seconds = 0.0;
-    std::size_t net_count = 0;
-    std::vector<std::pair<std::string, double>> metrics;
-  };
-  std::string name_;
-  std::vector<Run> runs_;
-};
 
 /// The solution set of one baseline method on one net, Pareto-filtered, and
 /// the wall-clock seconds it took.

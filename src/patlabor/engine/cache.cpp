@@ -46,15 +46,15 @@ FrontierCache::Shard& FrontierCache::shard_of(std::uint64_t key) {
   return *shards_[(mixed >> 32) & (shards_.size() - 1)];
 }
 
-std::optional<CacheEntry> FrontierCache::find(
+std::shared_ptr<const CacheEntry> FrontierCache::find_shared(
     std::uint64_t key, const std::vector<geom::Point>& pins) {
-  if (capacity_ == 0) return std::nullopt;
+  if (capacity_ == 0) return nullptr;
   Shard& sh = shard_of(key);
-  std::optional<CacheEntry> out;
+  std::shared_ptr<const CacheEntry> out;
   {
     std::lock_guard<obs::TimedMutex> lock(sh.mu);
     const auto it = sh.index.find(key);
-    if (it != sh.index.end() && it->second->second.pins == pins) {
+    if (it != sh.index.end() && it->second->second->pins == pins) {
       sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
       out = it->second->second;
       ++sh.hits;
@@ -62,15 +62,22 @@ std::optional<CacheEntry> FrontierCache::find(
       ++sh.misses;
     }
   }
-  if (out.has_value())
+  if (out != nullptr)
     PL_COUNT("engine.cache.hit", 1);
   else
     PL_COUNT("engine.cache.miss", 1);
   return out;
 }
 
-void FrontierCache::insert(std::uint64_t key, CacheEntry entry) {
+std::optional<CacheEntry> FrontierCache::find(
+    std::uint64_t key, const std::vector<geom::Point>& pins) {
+  if (const auto hit = find_shared(key, pins)) return *hit;
+  return std::nullopt;
+}
+
+void FrontierCache::insert(std::uint64_t key, CacheEntry value) {
   if (capacity_ == 0) return;
+  auto entry = std::make_shared<const CacheEntry>(std::move(value));
   Shard& sh = shard_of(key);
   Lru evicted;  // destroyed after the lock is released
   bool added = false;

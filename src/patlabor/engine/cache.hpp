@@ -11,8 +11,10 @@
 //
 // Concurrency: the key space is striped over shards, each a plain LRU — a
 // recency-ordered list plus a key -> list-node index — behind one mutex.
-// find() and insert() are O(1) under their stripe's lock; evicted entries
-// are freed after the lock is released.  Racing inserts of the same key are
+// find_shared() and insert() are O(1) under their stripe's lock and copy
+// no entry there: entries are shared immutable values, so a hit copies a
+// pointer and evicted entries are freed after the lock is released (or
+// by the last reader still holding one).  Racing inserts of the same key are
 // benign because the engine only ever inserts bit-identical values for a
 // given key — and for the same reason a miss needs no locked double-check:
 // recomputing is correct, just slower.
@@ -73,7 +75,8 @@ struct CacheStats {
 };
 
 /// A cached routing answer.  `pins` is the exact pin sequence this entry
-/// answers; `frontier`/`trees` are in that frame.
+/// answers; `frontier`/`trees` are in that frame.  The cache holds each
+/// entry as a shared immutable value (find_shared).
 struct CacheEntry {
   std::vector<geom::Point> pins;
   pareto::SolutionSet frontier;
@@ -86,8 +89,15 @@ class FrontierCache {
   explicit FrontierCache(std::size_t capacity = 1 << 13,
                          std::size_t shards = 16);
 
-  /// Copies the entry for (key, pins) out, bumping it to most-recent, or
-  /// returns nullopt.  A key match with different pins is a miss.
+  /// The entry for (key, pins), bumped to most-recent, or null.  A key
+  /// match with different pins is a miss.  Only the pointer is copied under
+  /// the stripe lock; the entry is immutable and outlives its eviction
+  /// while a caller holds it.
+  std::shared_ptr<const CacheEntry> find_shared(
+      std::uint64_t key, const std::vector<geom::Point>& pins);
+
+  /// find_shared() with the entry copied out (after the lock is released),
+  /// or nullopt.
   std::optional<CacheEntry> find(std::uint64_t key,
                                  const std::vector<geom::Point>& pins);
 
@@ -101,7 +111,8 @@ class FrontierCache {
 
  private:
   /// Most recent first.
-  using Lru = std::list<std::pair<std::uint64_t, CacheEntry>>;
+  using Lru =
+      std::list<std::pair<std::uint64_t, std::shared_ptr<const CacheEntry>>>;
 
   /// Everything but `mu` is guarded by `mu`, whose lock-wait accounting
   /// rolls up into the engine.cache.lock.* counter family.

@@ -299,7 +299,8 @@ using Edge = std::pair<Point, Point>;
 /// that tree.  It interns points exactly as from_edges does (pins first,
 /// then each edge's second endpoint before its first; a point keeps the id
 /// of its first occurrence) by a linear scan over at most kMaxNodes points
-/// instead of a hash map, and orients through the same orient_edges().
+/// instead of a hash map, and orients through the same orient_edges(), so
+/// the last scored edge set's tree() is the tree from_edges would build.
 class TopologyScorer {
  public:
   /// Scores the edge sets of `net` from now on.
@@ -320,6 +321,7 @@ class TopologyScorer {
       ends_[2 * e + 1] = intern(edges[e].second);
       ends_[2 * e] = intern(edges[e].first);
     }
+    nn_ = nn;
     tree::orient_edges({nodes_.data(), nn}, pins_,
                        {ends_.data(), 2 * edges.size()},
                        {parent_.data(), nn}, {dist_.data(), nn},
@@ -339,8 +341,17 @@ class TopologyScorer {
     return obj;
   }
 
+  /// The tree of the edge set score() saw last.
+  RoutingTree tree() const {
+    const auto nn = static_cast<std::ptrdiff_t>(nn_);
+    return RoutingTree::from_parents({nodes_.begin(), nodes_.begin() + nn},
+                                     {parent_.begin(), parent_.begin() + nn},
+                                     pins_);
+  }
+
  private:
   std::size_t pins_ = 0;
+  std::size_t nn_ = 0;  ///< nodes interned by the last score()
   std::array<Point, kMaxNodes> nodes_{};
   std::array<std::int32_t, 2 * kMaxEdges> ends_{};
   std::array<std::int32_t, kMaxNodes> parent_{};
@@ -429,7 +440,8 @@ LookupTable::QueryResult LookupTable::query(const Net& net) const {
   }
   out.frontier = pareto::SolutionSet::select(scratch.objs, scratch.filter);
 
-  // Re-walk the entry and build each survivor's tree in its frontier slot.
+  // Re-walk the entry, re-score each survivor and keep the scorer's tree
+  // in its frontier slot.
   scratch.survivors.clear();
   for (std::size_t k = 0; k < out.frontier.size(); ++k)
     scratch.survivors.emplace_back(scratch.records[out.frontier.payload()[k]],
@@ -441,9 +453,11 @@ LookupTable::QueryResult LookupTable::query(const Net& net) const {
   for (std::uint32_t r = 0; next != scratch.survivors.cend() && again.next();
        ++r) {
     if (r != next->first) continue;
+    [[maybe_unused]] const auto obj = scratch.scorer.score(decode(again));
     RoutingTree& t = out.trees[next->second];
-    t = RoutingTree::from_edges(net, decode(again));
-    assert(t.validate().empty() && t.objective() == out.frontier[next->second]);
+    t = scratch.scorer.tree();
+    assert(obj && *obj == out.frontier[next->second] && t.validate().empty() &&
+           t.objective() == *obj);
     ++next;
   }
   out.frontier.strip_payload();

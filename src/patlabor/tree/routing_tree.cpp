@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 namespace patlabor::tree {
 
@@ -14,6 +15,17 @@ RoutingTree RoutingTree::star(const Net& net) {
   t.num_pins_ = net.pins.size();
   t.parent_.assign(t.nodes_.size(), 0);
   t.parent_[0] = kNoParent;
+  return t;
+}
+
+RoutingTree RoutingTree::from_parents(std::vector<Point> nodes,
+                                      std::vector<std::int32_t> parents,
+                                      std::size_t num_pins) {
+  assert(nodes.size() == parents.size() && num_pins <= nodes.size());
+  RoutingTree t;
+  t.nodes_ = std::move(nodes);
+  t.parent_ = std::move(parents);
+  t.num_pins_ = num_pins;
   return t;
 }
 

@@ -69,6 +69,15 @@ class RoutingTree {
   static RoutingTree from_edges(const Net& net,
                                 std::span<const std::pair<Point, Point>> edges);
 
+  /// Adopts already-oriented arrays as they are: nodes[0, num_pins) are the
+  /// pins (node 0 the source), the rest Steiner points, and parents[v] is
+  /// v's parent (kNoParent for the root and unreached nodes).  For builders
+  /// that intern and orient themselves (the LUT query's scorer, the
+  /// engine's map-back); nothing is checked.
+  static RoutingTree from_parents(std::vector<Point> nodes,
+                                  std::vector<std::int32_t> parents,
+                                  std::size_t num_pins);
+
   std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t num_pins() const { return num_pins_; }
   bool is_pin(std::size_t v) const { return v < num_pins_; }
