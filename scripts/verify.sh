@@ -222,13 +222,14 @@ lut_storage_gate() {
 }
 
 # LUT storage gate (full parts): a lutgen killed mid-degree (deterministic
-# abort hook, exit 75) resumed from its checkpoint must produce a
-# content_hash-identical file; and two concurrent patlabord processes
+# abort hook, exit 75) leaves a checkpoint that `lut info` shows part-way
+# through degree 5 and `route --lut` refuses; resumed from it, lutgen must
+# produce a content_hash-identical file; and two concurrent patlabord processes
 # serving the same mapped degree-6 table (generated here, ~0.5 s on 4 cores)
 # must both answer byte-identically to a direct engine route over it.
 lut_resume_gate() {
   echo "== lut checkpoint: kill-and-resume lutgen hash-matches single-shot =="
-  local dir rc hash_once hash_resumed
+  local dir rc hash_once hash_resumed merged total
   dir="$(mktemp -d)"
   ./build/tools/patlabor_cli lutgen 5 "$dir/once.bin" --jobs 2 > /dev/null
   rc=0
@@ -240,6 +241,22 @@ lut_resume_gate() {
     exit 1
   fi
   [[ -f "$dir/r.ckpt" ]] || { echo "lutgen: no checkpoint left behind"; exit 1; }
+  # The checkpoint is a table file: lut info reads its resume point ...
+  read -r merged total < <(./build/tools/patlabor_cli lut info "$dir/r.ckpt" \
+    | awk '/checkpoint +degree 5 in progress,/ { split($6, a, "/"); print a[1], a[2] }')
+  if [[ -z "$merged" || "$merged" -ge "$total" ]]; then
+    echo "lut info: no degree-5 in-progress line with merged < total"
+    exit 1
+  fi
+  # ... and the router refuses it as a generation checkpoint.
+  ./build/tools/patlabor_cli gen uniform 4 5 "$dir/n.nets" 3 > /dev/null
+  rc=0
+  ./build/tools/patlabor_cli route "$dir/n.nets" --lut "$dir/r.ckpt" \
+    > /dev/null 2> "$dir/route.err" || rc=$?
+  if [[ $rc -eq 0 ]] || ! grep -q "generation checkpoint" "$dir/route.err"; then
+    echo "route --lut <checkpoint>: expected a 'generation checkpoint' error"
+    exit 1
+  fi
   ./build/tools/patlabor_cli lutgen 5 "$dir/resumed.bin" --jobs 2 \
     --checkpoint "$dir/r.ckpt" --resume > /dev/null
   if [[ -e "$dir/r.ckpt" ]]; then

@@ -24,7 +24,8 @@ using tree::RoutingTree;
 namespace {
 
 /// Canonical pattern enumeration for one degree: the representatives, in
-/// the canonical order every merge (and checkpoint bitmap) is keyed to.
+/// the canonical order every merge (and checkpoint resume point) is keyed
+/// to.
 std::vector<PinPattern> canonical_patterns(int degree) {
   std::vector<PinPattern> patterns;
   std::vector<std::uint8_t> perm(static_cast<std::size_t>(degree));
@@ -55,24 +56,14 @@ LookupTable LookupTable::generate(int max_degree,
 LookupTable LookupTable::generate(int max_degree,
                                   const GenerateOptions& options) {
   LookupTable lut;
-  CheckpointState resume_state;
-  bool have_resume = false;
-  if (options.resume && !options.checkpoint_path.empty() &&
-      TableIo::load_checkpoint(options.checkpoint_path, lut, resume_state)) {
-    if (resume_state.dw_flags != dw_flags_of(options.dw))
-      throw FormatError(options.checkpoint_path +
-                        " was generated with different pruning options "
-                        "(dw flags " +
-                        std::to_string(resume_state.dw_flags) + " vs " +
-                        std::to_string(dw_flags_of(options.dw)) + ")");
-    have_resume = resume_state.degree > 0;
-  }
+  CheckpointState resume;
+  if (options.resume && !options.checkpoint_path.empty())
+    TableIo::load_checkpoint(options.checkpoint_path, dw_flags_of(options.dw),
+                             lut, resume);
   for (int n = 4; n <= max_degree; ++n) {
     if (lut.stats_.count(n) > 0) continue;  // completed in the checkpoint
-    CheckpointState* rs =
-        have_resume && resume_state.degree == n ? &resume_state : nullptr;
-    lut.generate_degree_impl(n, options, rs);
-    if (rs != nullptr) have_resume = false;
+    lut.generate_degree_impl(n, options,
+                             resume.degree == n ? &resume : nullptr);
   }
   return lut;
 }
@@ -91,45 +82,39 @@ void LookupTable::generate_degree_impl(int degree,
   assert(degree >= 4 && degree <= kMaxLutDegree);
   PL_SPAN("lut.generate_degree");
   util::Timer timer;
-  DegreeStats st;
 
   // Canonical pattern enumeration is cheap relative to the DPs; collect the
   // representatives first so the DP runs can fan out across the pool.
   const std::vector<PinPattern> patterns = canonical_patterns(degree);
-  st.patterns = patterns.size();
 
-  TableBuilder builder;
-  std::size_t start = 0;
-  double prior_seconds = 0.0;
+  // The degree's working state, restored from a checkpoint or fresh.
+  CheckpointState fresh;
+  CheckpointState& work = resume != nullptr ? *resume : fresh;
+  work.degree = degree;
+  DegreeStats& st = work.stats;
+  TableBuilder& builder = work.builder;
+  const std::size_t start =
+      static_cast<std::size_t>(work.completed_patterns);
+  const double prior_seconds = st.gen_seconds;
   if (resume != nullptr) {
-    if (resume->total_patterns != patterns.size())
+    if (st.patterns != patterns.size())
       throw FormatError(options.checkpoint_path + ": degree " +
                         std::to_string(degree) + " has " +
                         std::to_string(patterns.size()) +
                         " canonical patterns, checkpoint says " +
-                        std::to_string(resume->total_patterns));
-    start = static_cast<std::size_t>(resume->completed_patterns);
-    builder.restore(std::move(resume->entries), std::move(resume->blob));
-    st.indices = resume->partial.indices;
-    st.topologies = resume->partial.topologies;
-    st.lp_calls = resume->partial.lp_calls;
-    st.bytes = resume->partial.bytes;
-    prior_seconds = resume->partial.gen_seconds;
+                        std::to_string(st.patterns));
     PL_COUNT("lut.gen_resumed_patterns", start);
   }
+  st.patterns = patterns.size();
 
   const bool checkpointing = !options.checkpoint_path.empty();
   std::uint64_t since_checkpoint = 0;
   std::uint64_t merged_this_run = 0;
   auto take_checkpoint = [&](std::size_t next_pattern) {
-    CheckpointState cs;
-    cs.dw_flags = dw_flags_of(options.dw);
-    cs.degree = degree;
-    cs.total_patterns = patterns.size();
-    cs.completed_patterns = next_pattern;
-    cs.partial = st;
-    cs.partial.gen_seconds = prior_seconds + timer.seconds();
-    TableIo::write_checkpoint(options.checkpoint_path, *this, cs, builder);
+    work.completed_patterns = next_pattern;
+    st.gen_seconds = prior_seconds + timer.seconds();
+    TableIo::write_checkpoint(options.checkpoint_path, *this,
+                              dw_flags_of(options.dw), &work);
     since_checkpoint = 0;
     PL_COUNT("lut.gen_checkpoints", 1);
   };
@@ -173,14 +158,9 @@ void LookupTable::generate_degree_impl(int degree,
 
   st.gen_seconds = prior_seconds + timer.seconds();
   set_owned_slice(degree, st, builder.freeze());
-  if (checkpointing) {
-    // Degree-boundary checkpoint: the finished degree is now a frozen
-    // section, no degree is in progress.
-    CheckpointState cs;
-    cs.dw_flags = dw_flags_of(options.dw);
-    cs.degree = 0;
-    TableIo::write_checkpoint(options.checkpoint_path, *this, cs, builder);
-  }
+  if (checkpointing)  // degree boundary: no degree is in progress
+    TableIo::write_checkpoint(options.checkpoint_path, *this,
+                              dw_flags_of(options.dw), nullptr);
   PL_COUNT("lut.gen_patterns", st.patterns);
   PL_COUNT("lut.gen_indices", st.indices);
   PL_COUNT("lut.gen_topologies", st.topologies);

@@ -17,9 +17,9 @@
 //              verifies every section's checksums, and query() serves
 //              straight from the page cache with zero deserialization, so
 //              N processes share one physical copy of the table.
-// generate() can also checkpoint partial flat sections periodically
-// (atomic tmp+rename) so --resume continues a killed run, producing a
-// content_hash-identical table.
+// generate() can also checkpoint its progress periodically as a v2 file
+// with the checkpoint flag set (atomic tmp+rename), so --resume continues
+// a killed run, producing a content_hash-identical table.
 #pragma once
 
 #include <cstdint>
@@ -75,9 +75,10 @@ class LookupTable {
     /// table content is bit-identical for every pool size.
     par::ThreadPool* pool = nullptr;
     /// When non-empty, generation atomically rewrites this checkpoint file
-    /// (completed-pattern bitmap + partial flat sections, tmp+rename)
-    /// every `checkpoint_every` merged patterns and at each degree
-    /// boundary, so a killed multi-hour run resumes instead of restarting.
+    /// (every degree so far as a table section, the resume point in the
+    /// header; tmp+rename) every `checkpoint_every` merged patterns and at
+    /// each degree boundary, so a killed multi-hour run resumes instead of
+    /// restarting.
     std::string checkpoint_path;
     std::uint64_t checkpoint_every = 256;
     /// Continue from checkpoint_path if it exists (fresh run otherwise).

@@ -1,6 +1,6 @@
-// Container I/O for lookup tables: the format v2 writer, the one mapped
-// loader, checkpoint containers and `lut info` inspection.  Byte-level
-// layout: DESIGN.md §13.
+// Container I/O for lookup tables: the format v2 writer, the one
+// map-and-verify step behind open() and checkpoint resume, and `lut info`
+// inspection.  Byte-level layout: DESIGN.md §13.
 #include "patlabor/lut/lut_format.hpp"
 
 #include <sys/stat.h>
@@ -174,66 +174,47 @@ Parsed parse_v2(std::span<const std::uint8_t> bytes, const std::string& path) {
                         ") lies outside the file payload area");
   };
 
-  bool seen_meta = false;
-  bool seen_partial = false;
   std::uint32_t seen_degrees = 0;  // bitmask, degree <= kMaxLutDegree
+  const SectionEntry* top = nullptr;  // the highest degree
   for (std::size_t si = 0; si < out.sections.size(); ++si) {
     const SectionEntry& s = out.sections[si];
-    switch (s.kind) {
-      case kSectionDegree:
-      case kSectionPartial: {
-        // No pattern holds more than kMaxLutDegree pins: a larger section
-        // would claim degrees that every query then misses.
-        if (s.degree < 4 ||
-            s.degree > static_cast<std::uint32_t>(kMaxLutDegree))
-          throw FormatError(path + ": section " + std::to_string(si) +
-                            " has invalid degree " +
-                            std::to_string(s.degree) + " (valid 4.." +
-                            std::to_string(kMaxLutDegree) + ")");
-        if (seen_degrees & (1u << s.degree))
-          throw FormatError(path + ": duplicate sections for degree " +
-                            std::to_string(s.degree));
-        seen_degrees |= 1u << s.degree;
-        if (s.index_count >
-            std::numeric_limits<std::uint64_t>::max() / sizeof(IndexEntry))
-          throw FormatError(path + ": section " + std::to_string(si) +
-                            " index count overflows");
-        check_payload(s.index_offset, s.index_count * sizeof(IndexEntry), si,
-                      "index");
-        check_payload(s.blob_offset, s.blob_bytes, si, "blob");
-        if (s.kind == kSectionPartial) {
-          if (seen_partial)
-            throw FormatError(path + ": more than one partial slice");
-          seen_partial = true;
-        }
-        break;
-      }
-      case kSectionCheckpoint: {
-        if (seen_meta)
-          throw FormatError(path + ": more than one checkpoint section");
-        seen_meta = true;
-        if (s.index_count != 0)
-          throw FormatError(path + ": checkpoint section carries an index");
-        if (s.blob_bytes < sizeof(CheckpointHead))
-          throw FormatError(path + ": checkpoint metadata is " +
-                            std::to_string(s.blob_bytes) + " bytes, " +
-                            std::to_string(sizeof(CheckpointHead)) +
-                            " minimum");
-        check_payload(s.blob_offset, s.blob_bytes, si, "metadata");
-        break;
-      }
-      default:
-        throw FormatError(path + ": section " + std::to_string(si) +
-                          " has unknown kind " + std::to_string(s.kind));
-    }
+    if (s.kind != kSectionDegree)
+      throw FormatError(path + ": section " + std::to_string(si) +
+                        " has unknown kind " + std::to_string(s.kind));
+    // No pattern holds more than kMaxLutDegree pins: a larger section
+    // would claim degrees that every query then misses.
+    if (s.degree < 4 || s.degree > static_cast<std::uint32_t>(kMaxLutDegree))
+      throw FormatError(path + ": section " + std::to_string(si) +
+                        " has invalid degree " + std::to_string(s.degree) +
+                        " (valid 4.." + std::to_string(kMaxLutDegree) + ")");
+    if (seen_degrees & (1u << s.degree))
+      throw FormatError(path + ": duplicate sections for degree " +
+                        std::to_string(s.degree));
+    seen_degrees |= 1u << s.degree;
+    if (s.index_count >
+        std::numeric_limits<std::uint64_t>::max() / sizeof(IndexEntry))
+      throw FormatError(path + ": section " + std::to_string(si) +
+                        " index count overflows");
+    check_payload(s.index_offset, s.index_count * sizeof(IndexEntry), si,
+                  "index");
+    check_payload(s.blob_offset, s.blob_bytes, si, "blob");
+    if (top == nullptr || s.degree > top->degree) top = &s;
   }
-  const bool ck = (h.flags & kFlagCheckpoint) != 0;
-  if (ck && !seen_meta)
-    throw FormatError(path +
-                      ": checkpoint flag set but no checkpoint section");
-  if (!ck && (seen_meta || seen_partial))
-    throw FormatError(path +
-                      ": checkpoint sections in a non-checkpoint file");
+  if ((h.flags & kFlagCheckpoint) == 0) {
+    if (h.dw_flags != 0 || h.completed_patterns != 0)
+      throw FormatError(path +
+                        ": checkpoint resume fields are set but the "
+                        "checkpoint flag is clear");
+  } else if (top == nullptr) {
+    throw FormatError(path + ": checkpoint flag set on a file with no "
+                             "sections");
+  } else if (h.completed_patterns > top->patterns) {
+    throw FormatError(path + ": checkpoint claims " +
+                      std::to_string(h.completed_patterns) +
+                      " merged patterns of degree " +
+                      std::to_string(top->degree) + ", which has " +
+                      std::to_string(top->patterns));
+  }
   return out;
 }
 
@@ -251,10 +232,9 @@ bool checksums_ok(const SectionView& view, const SectionEntry& sec) {
          xxhash64(view.blob) == sec.blob_xxh;
 }
 
-/// The one check every reader runs on a degree or partial section before
-/// trusting it: both payload checksums, then — for frozen slices — the
-/// strict index order binary search relies on.  Record spans are left to
-/// the per-query RecordCursor.
+/// The one check every reader runs on a section before trusting it: both
+/// payload checksums, then the strict index order binary search relies
+/// on.  Record spans are left to the per-query RecordCursor.
 SectionView verified_view(std::span<const std::uint8_t> bytes,
                           const SectionEntry& sec, const std::string& path) {
   const SectionView view = view_of(bytes, sec);
@@ -262,8 +242,36 @@ SectionView verified_view(std::span<const std::uint8_t> bytes,
   if (!checksums_ok(view, sec))
     throw FormatError(path + ": degree " + std::to_string(degree) +
                       " section checksum mismatch — file corrupt?");
-  if (sec.kind == kSectionDegree) require_sorted(view, path, degree);
+  require_sorted(view, path, degree);
   return view;
+}
+
+/// A file mapped and verified: every section checked by verified_view.
+struct Mapped {
+  std::shared_ptr<const MmapFile> map;
+  Parsed parsed;
+  std::vector<SectionView> views;  ///< parallel to parsed.sections
+};
+
+/// The map-and-verify step open() and checkpoint resume share: maps
+/// `path`, parses it, requires the checkpoint flag to read `checkpoint`,
+/// then verifies every section.
+Mapped map_and_verify(const std::string& path, bool checkpoint) {
+  Mapped m;
+  m.map = std::make_shared<const MmapFile>(path);
+  const auto bytes = m.map->bytes();
+  m.parsed = parse_v2(bytes, path);
+  if (((m.parsed.header.flags & kFlagCheckpoint) != 0) != checkpoint)
+    throw FormatError(
+        checkpoint
+            ? path + " is a finished table, not a generation checkpoint"
+            : path +
+                  " is a generation checkpoint, not a finished table — "
+                  "resume it with `patlabor_cli lutgen --resume` or "
+                  "inspect it with `patlabor_cli lut info`");
+  for (const SectionEntry& sec : m.parsed.sections)
+    m.views.push_back(verified_view(bytes, sec, path));
+  return m;
 }
 
 OwnedSection owned_copy(const SectionView& view) {
@@ -278,37 +286,22 @@ struct SliceRef {
   int degree = 0;
   DegreeStats stats;
   SectionView view;
-  bool partial = false;
 };
 
-void write_container(const std::string& path, int max_degree,
-                     const std::vector<SliceRef>& slices,
-                     const CheckpointState* meta) {
-  std::vector<std::uint8_t> meta_payload;
-  if (meta != nullptr) {
-    CheckpointHead head{};
-    head.dw_flags = meta->dw_flags;
-    head.degree = static_cast<std::uint32_t>(meta->degree);
-    head.total_patterns = meta->total_patterns;
-    head.completed_patterns = meta->completed_patterns;
-    meta_payload.resize(sizeof head + (meta->total_patterns + 7) / 8);
-    std::memcpy(meta_payload.data(), &head, sizeof head);
-    // Merge order is canonical, so the completed set is always a prefix.
-    for (std::uint64_t i = 0; i < meta->completed_patterns; ++i)
-      meta_payload[sizeof head + i / 8] |=
-          static_cast<std::uint8_t>(1u << (i % 8));
-  }
-
-  const auto nsec =
-      static_cast<std::uint32_t>(slices.size() + (meta != nullptr ? 1 : 0));
+/// Writes `slices` under header `h`, whose flags and resume point the
+/// caller set; every other header field is filled in here.
+void write_container(const std::string& path,
+                     const std::vector<SliceRef>& slices, FileHeader h) {
+  const auto nsec = static_cast<std::uint32_t>(slices.size());
   std::vector<SectionEntry> secs;
   secs.reserve(nsec);
   std::uint64_t pos =
       sizeof(FileHeader) + std::uint64_t{nsec} * sizeof(SectionEntry);
   std::uint64_t content = kContentHashInit;
+  int max_degree = 3;
   for (const SliceRef& s : slices) {
     SectionEntry e{};
-    e.kind = s.partial ? kSectionPartial : kSectionDegree;
+    e.kind = kSectionDegree;
     e.degree = static_cast<std::uint32_t>(s.degree);
     pos = align_up(pos);
     e.index_offset = pos;
@@ -328,19 +321,9 @@ void write_container(const std::string& path, int max_degree,
     e.bytes = s.stats.bytes;
     secs.push_back(e);
     content += hash_section_entries(s.view, s.degree, path);
-  }
-  if (meta != nullptr) {
-    SectionEntry e{};
-    e.kind = kSectionCheckpoint;
-    pos = align_up(pos);
-    e.blob_offset = pos;
-    e.blob_bytes = meta_payload.size();
-    pos += e.blob_bytes;
-    e.blob_xxh = xxhash64(meta_payload);
-    secs.push_back(e);
+    max_degree = std::max(max_degree, s.degree);
   }
 
-  FileHeader h{};
   std::memcpy(h.magic, kMagicV2, sizeof h.magic);
   h.version = kFormatVersion;
   h.header_bytes = sizeof(FileHeader);
@@ -350,34 +333,18 @@ void write_container(const std::string& path, int max_degree,
   h.max_degree = static_cast<std::uint32_t>(max_degree);
   h.content_hash = content;
   h.file_size = pos;
-  h.flags = meta != nullptr ? kFlagCheckpoint : 0;
 
   AtomicFileWriter w(path);
   w.put(h);
   for (const SectionEntry& e : secs) w.put_bytes(&e, sizeof e);
-  std::size_t si = 0;
-  for (const SliceRef& s : slices) {
+  for (std::size_t si = 0; si < slices.size(); ++si) {
+    const SectionView& view = slices[si].view;
     w.pad_to(secs[si].index_offset);
-    w.put_bytes(s.view.index.data(),
-                s.view.index.size() * sizeof(IndexEntry));
+    w.put_bytes(view.index.data(), view.index.size() * sizeof(IndexEntry));
     w.pad_to(secs[si].blob_offset);
-    w.put_bytes(s.view.blob.data(), s.view.blob.size());
-    ++si;
-  }
-  if (meta != nullptr) {
-    w.pad_to(secs[si].blob_offset);
-    w.put_bytes(meta_payload.data(), meta_payload.size());
+    w.put_bytes(view.blob.data(), view.blob.size());
   }
   w.commit();
-}
-
-void refuse_checkpoint(const FileHeader& h, const std::string& path) {
-  if ((h.flags & kFlagCheckpoint) != 0)
-    throw FormatError(
-        path +
-        " is a generation checkpoint, not a finished table — resume it "
-        "with `patlabor_cli lutgen --resume` or inspect it with "
-        "`patlabor_cli lut info`");
 }
 
 }  // namespace
@@ -416,48 +383,49 @@ std::uint64_t hash_section_entries(const SectionView& view, int degree,
 
 void TableIo::save(const LookupTable& table, const std::string& path) {
   std::vector<SliceRef> slices;
-  slices.reserve(table.slices_.size());
   for (const auto& [degree, slice] : table.slices_)
-    slices.push_back({degree, table.stats_.at(degree), slice.view, false});
-  write_container(path, table.max_degree_, slices, nullptr);
+    slices.push_back({degree, table.stats_.at(degree), slice.view});
+  write_container(path, slices, FileHeader{});
 }
 
 LookupTable TableIo::open(const std::string& path) {
-  auto map = std::make_shared<const MmapFile>(path);
-  const auto bytes = map->bytes();
-  const Parsed p = parse_v2(bytes, path);
-  refuse_checkpoint(p.header, path);
+  Mapped m = map_and_verify(path, /*checkpoint=*/false);
   LookupTable lut;
   lut.origin_ = path;
-  lut.mapping_ = map;
-  for (const SectionEntry& sec : p.sections) {
+  for (std::size_t i = 0; i < m.views.size(); ++i) {
+    const SectionEntry& sec = m.parsed.sections[i];
     const int degree = static_cast<int>(sec.degree);
-    lut.slices_[degree].view = verified_view(bytes, sec, path);
+    lut.slices_[degree].view = m.views[i];
     lut.stats_[degree] = stats_of(sec);
     lut.max_degree_ = std::max(lut.max_degree_, degree);
   }
+  lut.mapping_ = std::move(m.map);
   return lut;
 }
 
 void TableIo::write_checkpoint(const std::string& path,
                                const LookupTable& completed,
-                               const CheckpointState& state,
-                               const TableBuilder& builder) {
+                               std::uint32_t dw_flags,
+                               const CheckpointState* in_progress) {
   std::vector<SliceRef> slices;
-  slices.reserve(completed.slices_.size() + 1);
   for (const auto& [degree, slice] : completed.slices_)
-    slices.push_back(
-        {degree, completed.stats_.at(degree), slice.view, false});
-  int max_degree = completed.max_degree_;
-  if (state.degree > 0) {
-    SectionView partial{builder.entries(), builder.blob()};
-    slices.push_back({state.degree, state.partial, partial, true});
-    max_degree = std::max(max_degree, state.degree);
+    slices.push_back({degree, completed.stats_.at(degree), slice.view});
+  FileHeader h{};
+  h.flags = kFlagCheckpoint;
+  h.dw_flags = dw_flags;
+  std::vector<IndexEntry> index;
+  if (in_progress != nullptr) {
+    index = in_progress->builder.sorted_index();
+    slices.push_back({in_progress->degree, in_progress->stats,
+                      SectionView{index, in_progress->builder.blob()}});
+    h.completed_patterns = in_progress->completed_patterns;
+  } else if (!slices.empty()) {
+    h.completed_patterns = slices.back().stats.patterns;  // degree boundary
   }
-  write_container(path, max_degree, slices, &state);
+  write_container(path, slices, h);
 }
 
-bool TableIo::load_checkpoint(const std::string& path,
+bool TableIo::load_checkpoint(const std::string& path, std::uint32_t dw_flags,
                               LookupTable& completed_out,
                               CheckpointState& state_out) {
   {
@@ -467,81 +435,36 @@ bool TableIo::load_checkpoint(const std::string& path,
       throw FormatError("cannot stat " + path + ": " + std::strerror(errno));
     }
   }
-  MmapFile map(path);
-  const auto bytes = map.bytes();
-  const Parsed p = parse_v2(bytes, path);
-  if ((p.header.flags & kFlagCheckpoint) == 0)
+  Mapped m = map_and_verify(path, /*checkpoint=*/true);
+  const FileHeader& h = m.parsed.header;
+  if (h.dw_flags != dw_flags)
     throw FormatError(path +
-                      " is a finished table, not a generation checkpoint");
+                      " was generated with different pruning options "
+                      "(dw flags " +
+                      std::to_string(h.dw_flags) + " vs " +
+                      std::to_string(dw_flags) + ")");
+  // parse_v2 guarantees a section, and that the highest degree has at
+  // least completed_patterns patterns; it is in progress if it has more.
+  const std::vector<SectionEntry>& secs = m.parsed.sections;
+  const auto top = std::max_element(
+      secs.begin(), secs.end(),
+      [](const SectionEntry& a, const SectionEntry& b) {
+        return a.degree < b.degree;
+      });
   LookupTable lut;
   lut.origin_ = path;
   CheckpointState cs;
-  const SectionEntry* meta = nullptr;
-  const SectionEntry* partial = nullptr;
-  for (const SectionEntry& sec : p.sections) {
-    switch (sec.kind) {
-      case kSectionDegree:
-        lut.set_owned_slice(static_cast<int>(sec.degree), stats_of(sec),
-                            owned_copy(verified_view(bytes, sec, path)));
-        break;
-      case kSectionPartial:
-        partial = &sec;
-        break;
-      case kSectionCheckpoint:
-        meta = &sec;
-        break;
+  for (auto it = secs.begin(); it != secs.end(); ++it) {
+    OwnedSection owned = owned_copy(m.views[it - secs.begin()]);
+    if (it == top && h.completed_patterns < it->patterns) {
+      cs.degree = static_cast<int>(it->degree);
+      cs.completed_patterns = h.completed_patterns;
+      cs.stats = stats_of(*it);
+      cs.builder.restore(std::move(owned.index), std::move(owned.blob));
+    } else {
+      lut.set_owned_slice(static_cast<int>(it->degree), stats_of(*it),
+                          std::move(owned));
     }
-  }
-  // parse_v2 guarantees exactly one metadata section with >= 32 bytes.
-  const auto payload = bytes.subspan(meta->blob_offset, meta->blob_bytes);
-  if (xxhash64(payload) != meta->blob_xxh)
-    throw FormatError(path + ": checkpoint metadata checksum mismatch");
-  CheckpointHead head{};
-  std::memcpy(&head, payload.data(), sizeof head);
-  cs.dw_flags = head.dw_flags;
-  cs.degree = static_cast<int>(head.degree);
-  cs.total_patterns = head.total_patterns;
-  cs.completed_patterns = head.completed_patterns;
-  if (cs.completed_patterns > cs.total_patterns)
-    throw FormatError(path + ": checkpoint claims " +
-                      std::to_string(cs.completed_patterns) + " of " +
-                      std::to_string(cs.total_patterns) +
-                      " patterns completed");
-  const std::uint64_t bitmap_bytes = (cs.total_patterns + 7) / 8;
-  if (meta->blob_bytes != sizeof head + bitmap_bytes)
-    throw FormatError(path + ": checkpoint bitmap is " +
-                      std::to_string(meta->blob_bytes - sizeof head) +
-                      " bytes, expected " + std::to_string(bitmap_bytes));
-  for (std::uint64_t i = 0; i < cs.total_patterns; ++i) {
-    const bool bit =
-        (payload[sizeof head + i / 8] >> (i % 8)) & 1;
-    if (bit != (i < cs.completed_patterns))
-      throw FormatError(path +
-                        ": completed-pattern bitmap is not the canonical "
-                        "prefix (pattern " +
-                        std::to_string(i) + ")");
-  }
-  if (cs.degree == 0) {
-    if (partial != nullptr)
-      throw FormatError(path +
-                        ": partial slice present but no degree in progress");
-  } else {
-    if (head.degree < 4 ||
-        head.degree > static_cast<std::uint32_t>(kMaxLutDegree))
-      throw FormatError(path + ": invalid in-progress degree " +
-                        std::to_string(head.degree));
-    if (partial == nullptr)
-      throw FormatError(path + ": in-progress degree " +
-                        std::to_string(cs.degree) + " has no partial slice");
-    if (static_cast<int>(partial->degree) != cs.degree)
-      throw FormatError(path + ": partial slice degree " +
-                        std::to_string(partial->degree) +
-                        " does not match the in-progress degree " +
-                        std::to_string(cs.degree));
-    OwnedSection s = owned_copy(verified_view(bytes, *partial, path));
-    cs.partial = stats_of(*partial);
-    cs.entries = std::move(s.index);
-    cs.blob = std::move(s.blob);
   }
   completed_out = std::move(lut);
   state_out = std::move(cs);
@@ -554,6 +477,7 @@ TableFileReport inspect_table_file(const std::string& path) {
   const auto bytes = map.bytes();
   const Parsed p = parse_v2(bytes, path);
   rep.checkpoint = (p.header.flags & kFlagCheckpoint) != 0;
+  rep.completed_patterns = p.header.completed_patterns;
   rep.file_size = p.header.file_size;
   rep.lambda = p.header.lambda;
   rep.max_degree = static_cast<int>(p.header.max_degree);
@@ -561,30 +485,17 @@ TableFileReport inspect_table_file(const std::string& path) {
   std::uint64_t content = kContentHashInit;
   for (const SectionEntry& sec : p.sections) {
     TableFileReport::Section s;
-    s.kind = sec.kind;
     s.degree = static_cast<int>(sec.degree);
     s.entries = sec.index_count;
     s.index_bytes = sec.index_count * sizeof(IndexEntry);
     s.blob_bytes = sec.blob_bytes;
-    if (sec.kind == kSectionCheckpoint) {
-      const auto payload = bytes.subspan(sec.blob_offset, sec.blob_bytes);
-      s.checksums_ok = xxhash64(payload) == sec.blob_xxh;
-      CheckpointHead head{};
-      std::memcpy(&head, payload.data(), sizeof head);
-      rep.ck_dw_flags = head.dw_flags;
-      rep.ck_degree = static_cast<int>(head.degree);
-      rep.ck_total_patterns = head.total_patterns;
-      rep.ck_completed_patterns = head.completed_patterns;
-    } else {
-      const SectionView view = view_of(bytes, sec);
-      s.checksums_ok = checksums_ok(view, sec);
-      // A corrupt payload cannot contribute a meaningful hash term (and
-      // walking its records may be impossible); the stored/computed
-      // mismatch is the report.
-      if (s.checksums_ok)
-        content += hash_section_entries(view, s.degree, path);
-      rep.stats[s.degree] = stats_of(sec);
-    }
+    const SectionView view = view_of(bytes, sec);
+    s.checksums_ok = checksums_ok(view, sec);
+    // A corrupt payload cannot contribute a meaningful hash term (and
+    // walking its records may be impossible); the stored/computed
+    // mismatch is the report.
+    if (s.checksums_ok) content += hash_section_entries(view, s.degree, path);
+    rep.stats[s.degree] = stats_of(sec);
     rep.sections.push_back(s);
   }
   rep.computed_content_hash = content;

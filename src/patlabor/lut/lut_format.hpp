@@ -5,10 +5,10 @@
 // entries, then 64-byte-aligned payloads.  Each degree slice stores its
 // index and blob payloads exactly as they sit in memory
 // (table_storage.hpp), so a finished table is attached by mapping the file
-// and verifying each section — no deserialization at all.  Generation
-// checkpoints reuse the same container (header flag bit 0) with two extra
-// section kinds: the in-progress degree's slice in insertion order, and a
-// metadata section carrying the completed-pattern bitmap.
+// and verifying each section — no deserialization at all.  A generation
+// checkpoint is the same file with header flag bit 0 set and its resume
+// point (pruning options, merged patterns of the highest degree) in the
+// header; its in-progress degree is an ordinary degree section.
 //
 // Decoding is bounds-checked throughout — every offset, size and count
 // coming from the file is validated before it is trusted (the
@@ -35,13 +35,11 @@ inline constexpr std::uint64_t kSectionAlign = 64;
 /// Header flag bits.
 inline constexpr std::uint32_t kFlagCheckpoint = 0x1;
 
-/// Section kinds.
-inline constexpr std::uint32_t kSectionDegree = 1;      ///< frozen slice
-inline constexpr std::uint32_t kSectionCheckpoint = 2;  ///< resume metadata
-inline constexpr std::uint32_t kSectionPartial = 3;     ///< in-progress slice
+/// The one section kind: a frozen degree slice (sorted index + blob).
+inline constexpr std::uint32_t kSectionDegree = 1;
 
-/// Fixed 64-byte little-endian file header.  Frozen: fields may only ever
-/// be appended into `reserved`.
+/// Fixed 64-byte little-endian file header, frozen.  A finished table
+/// leaves the resume point (bytes 52-63) zero.
 struct FileHeader {
   char magic[8];               ///< "PLUT0002"
   std::uint32_t version;       ///< 2
@@ -53,23 +51,26 @@ struct FileHeader {
   std::uint64_t content_hash;  ///< LookupTable::content_hash of the payload
   std::uint64_t file_size;     ///< total bytes incl. this header
   std::uint32_t flags;         ///< kFlag* bits
-  std::uint8_t reserved[12];
+  // The resume point of a checkpoint; zero in a finished table.
+  std::uint32_t dw_flags;      ///< ParamDwOptions bits (see dw_flags_of)
+  /// Canonical patterns of the highest stored degree merged so far; below
+  /// that section's `patterns` while the degree is in progress.
+  std::uint64_t completed_patterns;
 };
 static_assert(sizeof(FileHeader) == 64, "FileHeader is a disk format");
 
-/// Fixed 128-byte little-endian section table entry.  Degree/partial
-/// sections carry two payloads (index, blob) and a DegreeStats snapshot;
-/// the checkpoint section uses only the blob span for its metadata.
+/// Fixed 128-byte little-endian section table entry: the index and blob
+/// payloads of one degree slice and its DegreeStats snapshot.
 struct SectionEntry {
-  std::uint32_t kind;          ///< kSection*
-  std::uint32_t degree;        ///< slice degree (0 for checkpoint metadata)
+  std::uint32_t kind;          ///< kSectionDegree
+  std::uint32_t degree;        ///< slice degree, 4..kMaxLutDegree
   std::uint64_t index_offset;  ///< absolute, kSectionAlign-aligned
   std::uint64_t index_count;   ///< IndexEntry rows
   std::uint64_t blob_offset;   ///< absolute, kSectionAlign-aligned
   std::uint64_t blob_bytes;
   std::uint64_t index_xxh;     ///< XXH64 of the index payload bytes
   std::uint64_t blob_xxh;      ///< XXH64 of the blob payload bytes
-  // DegreeStats snapshot (unused for kSectionCheckpoint):
+  // DegreeStats snapshot:
   std::uint64_t indices;
   std::uint64_t patterns;
   std::uint64_t topologies;
@@ -79,18 +80,6 @@ struct SectionEntry {
   std::uint8_t reserved[24];
 };
 static_assert(sizeof(SectionEntry) == 128, "SectionEntry is a disk format");
-
-/// Payload of the kSectionCheckpoint section: this fixed 32-byte head,
-/// then the completed-pattern bitmap (bit i = canonical pattern i merged;
-/// always a prefix, since merge order is canonical).
-struct CheckpointHead {
-  std::uint32_t dw_flags;  ///< ParamDwOptions bits (see dw_flags_of)
-  std::uint32_t degree;    ///< in-progress degree; 0 = none (boundary ckpt)
-  std::uint64_t total_patterns;
-  std::uint64_t completed_patterns;
-  std::uint8_t reserved[8];
-};
-static_assert(sizeof(CheckpointHead) == 32, "CheckpointHead is a disk format");
 
 std::uint32_t dw_flags_of(const ParamDwOptions& dw);
 
@@ -102,15 +91,14 @@ std::uint64_t hash_section_entries(const SectionView& view, int degree,
 /// The neutral element the per-entry sums are added onto.
 inline constexpr std::uint64_t kContentHashInit = 0x40490FDB5851F42DULL;
 
-/// In-progress-degree state restored from (or staged into) a checkpoint.
+/// The degree a generation run is part-way through: restored from a
+/// checkpoint, or staged into one.  Generation continues at pattern
+/// `completed_patterns` with `stats` and `builder` as they were.
 struct CheckpointState {
-  std::uint32_t dw_flags = 0;
-  int degree = 0;  ///< 0 = checkpoint taken at a degree boundary
-  std::uint64_t total_patterns = 0;
+  int degree = 0;  ///< 0 = none (the checkpoint fell on a degree boundary)
   std::uint64_t completed_patterns = 0;
-  DegreeStats partial;               ///< stats accumulated so far
-  std::vector<IndexEntry> entries;   ///< insertion order (unsorted)
-  std::vector<std::uint8_t> blob;    ///< verbatim partial blob
+  DegreeStats stats;  ///< `patterns` is the degree's canonical pattern count
+  TableBuilder builder;
 };
 
 /// Static I/O entry points (friend of LookupTable).
@@ -124,19 +112,21 @@ struct TableIo {
   /// bounds-checked per query by RecordCursor).  Throws FormatError.
   static LookupTable open(const std::string& path);
 
-  /// Atomically writes a checkpoint container: `completed` degrees as
-  /// frozen sections, `builder`'s unsorted partial slice, and the
-  /// metadata in `state` (entries/blob fields of `state` are ignored —
-  /// the builder is the live copy).
+  /// Atomically writes a checkpoint: a v2 file of every degree of
+  /// `completed` plus, when `in_progress` is non-null, its degree (the
+  /// builder's index sorted, its blob verbatim), with the resume point
+  /// in the header.
   static void write_checkpoint(const std::string& path,
                                const LookupTable& completed,
-                               const CheckpointState& state,
-                               const TableBuilder& builder);
+                               std::uint32_t dw_flags,
+                               const CheckpointState* in_progress);
 
-  /// Loads a checkpoint container: completed degrees into
-  /// `completed_out`, the partial slice + metadata into `state_out`.
-  /// Returns false if `path` does not exist (fresh run).
-  static bool load_checkpoint(const std::string& path,
+  /// Loads a checkpoint through open()'s map-and-verify step: finished
+  /// degrees into `completed_out`, the in-progress degree (if any) into
+  /// `state_out`.  Refuses a checkpoint written with other pruning
+  /// options than `dw_flags`.  Returns false if `path` does not exist
+  /// (fresh run).
+  static bool load_checkpoint(const std::string& path, std::uint32_t dw_flags,
                               LookupTable& completed_out,
                               CheckpointState& state_out);
 };
@@ -145,6 +135,8 @@ struct TableIo {
 /// read-only mapping, without building any topology.
 struct TableFileReport {
   bool checkpoint = false;
+  /// Checkpoints: merged patterns of the highest degree (see FileHeader).
+  std::uint64_t completed_patterns = 0;
   std::uint64_t file_size = 0;
   std::uint32_t lambda = 0;
   int max_degree = 3;
@@ -153,7 +145,6 @@ struct TableFileReport {
   std::map<int, DegreeStats> stats;
 
   struct Section {
-    std::uint32_t kind = 0;
     int degree = 0;
     std::uint64_t entries = 0;
     std::uint64_t index_bytes = 0;
@@ -161,12 +152,6 @@ struct TableFileReport {
     bool checksums_ok = false;
   };
   std::vector<Section> sections;
-
-  /// Valid when `checkpoint`.
-  std::uint32_t ck_dw_flags = 0;
-  int ck_degree = 0;
-  std::uint64_t ck_total_patterns = 0;
-  std::uint64_t ck_completed_patterns = 0;
 };
 
 TableFileReport inspect_table_file(const std::string& path);

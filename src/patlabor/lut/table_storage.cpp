@@ -102,14 +102,28 @@ void TableBuilder::restore(std::vector<IndexEntry> index,
   for (const IndexEntry& e : entries_) codes_.insert(e.code);
 }
 
+namespace {
+
+void sort_by_code(std::vector<IndexEntry>& index) {
+  std::sort(index.begin(), index.end(),
+            [](const IndexEntry& a, const IndexEntry& b) {
+              return a.code < b.code;
+            });
+}
+
+}  // namespace
+
+std::vector<IndexEntry> TableBuilder::sorted_index() const {
+  std::vector<IndexEntry> index = entries_;
+  sort_by_code(index);
+  return index;
+}
+
 OwnedSection TableBuilder::freeze() {
   OwnedSection out;
   out.index = std::move(entries_);
   out.blob = std::move(blob_);
-  std::sort(out.index.begin(), out.index.end(),
-            [](const IndexEntry& a, const IndexEntry& b) {
-              return a.code < b.code;
-            });
+  sort_by_code(out.index);
   entries_.clear();
   blob_.clear();
   codes_.clear();

@@ -18,7 +18,8 @@
 // `TableBuilder` is the only mutable piece: generation appends entries in
 // canonical merge order (so checkpointed and resumed runs lay out the blob
 // bit-identically), then freeze() sorts the index and the slice is
-// immutable from then on.
+// immutable from then on.  A checkpoint stores the builder as a frozen
+// slice too: a sorted copy of its index over its blob as it stands.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +81,7 @@ struct SectionView {
   std::span<const std::uint8_t> blob;
 
   /// Binary search by code; nullptr when absent.  Requires a sorted index
-  /// (every frozen/loaded slice; never a checkpoint's in-progress slice).
+  /// (every frozen or loaded slice).
   const IndexEntry* find(std::uint64_t code) const;
 };
 
@@ -121,9 +122,9 @@ class RecordCursor {
 };
 
 /// The mutable generation-side buffer of one degree slice.  Entries are
-/// appended in canonical merge order; the blob is append-only so a
-/// checkpoint can snapshot it verbatim and a resumed run continues where
-/// the snapshot stopped, bit-identically.
+/// appended in canonical merge order; the blob is append-only, so a
+/// checkpoint can store it verbatim beside a sorted copy of the index and
+/// a resumed run appends where the snapshot stopped, bit-identically.
 class TableBuilder {
  public:
   bool contains(std::uint64_t code) const { return codes_.count(code) > 0; }
@@ -132,21 +133,21 @@ class TableBuilder {
   /// Returns the encoded record bytes added to the blob.
   std::uint64_t add(std::uint64_t code, std::span<const RankTopology> topos);
 
-  /// Restores builder state from a checkpointed slice (entries in original
-  /// insertion order + verbatim blob bytes).
+  /// Restores builder state from a checkpointed slice (its index in any
+  /// order, its blob verbatim).
   void restore(std::vector<IndexEntry> index, std::vector<std::uint8_t> blob);
 
   /// Sorts the index by code and releases the slice; the builder is empty
   /// afterwards.
   OwnedSection freeze();
 
-  /// Unsorted (insertion-order) snapshot for checkpointing.
-  const std::vector<IndexEntry>& entries() const { return entries_; }
+  /// The slice as it stands, for a checkpoint: a sorted copy of the
+  /// index, whose offsets point into blob().
+  std::vector<IndexEntry> sorted_index() const;
   const std::vector<std::uint8_t>& blob() const { return blob_; }
-  std::uint64_t entry_count() const { return entries_.size(); }
 
  private:
-  std::vector<IndexEntry> entries_;  // insertion order until freeze()
+  std::vector<IndexEntry> entries_;  // unsorted until freeze()
   std::vector<std::uint8_t> blob_;
   std::unordered_set<std::uint64_t> codes_;
 };

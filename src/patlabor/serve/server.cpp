@@ -31,7 +31,6 @@ constexpr std::size_t kOutboxCap = std::size_t{2} << 20;
 /// How long a partly read frame may take to complete once the drain
 /// began, and how long stop() then keeps writing outboxes.
 constexpr std::chrono::seconds kDrainGrace{2};
-constexpr std::size_t kReadChunk = std::size_t{64} << 10;  // bytes per recv
 
 }  // namespace
 
@@ -48,6 +47,7 @@ struct Server::Conn {
   std::size_t in_len = 0;        ///< are data: at most one partial frame
   std::string out;               ///< outbox: encoded frames to write
   std::size_t out_sent = 0;      ///< prefix of `out` already written
+  std::size_t admitted = 0;      ///< route requests awaiting their reply
   bool blocked = false;          ///< the socket is full: await POLLOUT
   bool closing = false;          ///< no more reads: close once `out` is out
 
@@ -286,6 +286,7 @@ void Server::io_loop() {
   };
   const auto readable = [&](const auto& c) {
     return !c->closing && c->pending() <= kOutboxCap &&
+           c->admitted < kAdmitCap &&
            (phase == Phase::kServe || (phase == Phase::kRead && partial(c)));
   };
   const auto accept_all = [&] {
@@ -307,8 +308,10 @@ void Server::io_loop() {
     replies.swap(replies_);
     const bool routed_all = dispatcher_done_;
     hold.unlock();
-    for (auto& [conn, frame] : replies)
+    for (auto& [conn, frame] : replies) {
+      --conn->admitted;
       if (conn->fd >= 0) conn->out += frame;
+    }
     replies.clear();
 
     const Clock::time_point now = Clock::now();
@@ -508,6 +511,7 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn_ptr,
       PL_COUNT("serve.requests", 1);
       note_client(tag, 1, kHeaderSize + payload.size(), 0);
       in_flight_.fetch_add(1, std::memory_order_relaxed);
+      ++conn.admitted;
       job.trace.read_us = read_us;
       job.trace.enqueue_us = obs::now_us();
       job.recorded = obs::enabled();
@@ -620,7 +624,7 @@ void Server::dispatch_batch(std::vector<Job>& jobs) {
   const std::uint64_t routed = obs::now_us();
 
   // Encode every reply, then hand the batch's replies to the I/O thread
-  // with one wake; `written_us` closes each request at the handoff.
+  // with one wake; `written_us` closes each request just before it.
   std::vector<std::pair<std::shared_ptr<Conn>, std::string>> replies;
   replies.reserve(jobs.size());
   for (Job& job : jobs) {
@@ -643,14 +647,12 @@ void Server::dispatch_batch(std::vector<Job>& jobs) {
       replies.emplace_back(job.conn, std::move(frame));
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(replies_mu_);
-    for (auto& reply : replies) replies_.push_back(std::move(reply));
-  }
-  wake();
+  // Close every request before the handoff: once the I/O thread sees the
+  // replies their connections may admit more, so in_flight must already
+  // count these out (it stays within the admission caps), and a client
+  // that saw in_flight reach 0 finds their stage samples recorded.
   const std::uint64_t written = obs::now_us();
   for (Job& job : jobs) {
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
     job.trace.written_us = written;
     PL_HIST("serve.queue_wait_us", job.trace.queue_wait_us());
     PL_HIST("serve.route_us", job.trace.route_us());
@@ -670,6 +672,12 @@ void Server::dispatch_batch(std::vector<Job>& jobs) {
       span("serve.write", t.routed_us, t.write_us(), 1);
     }
   }
+  in_flight_.fetch_sub(jobs.size(), std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(replies_mu_);
+    for (auto& reply : replies) replies_.push_back(std::move(reply));
+  }
+  wake();
 
   // Emission, in admission order, after the handoff so the events carry
   // the complete lifecycle.  index=kNoIndex lets the sink stamp its own

@@ -14,9 +14,10 @@
 //     to the I/O thread with one wake.  It never touches a socket.
 //
 // Backpressure: while a connection's outbox holds more than a fixed byte
-// cap the I/O thread stops reading it, so a client that sends and never
-// reads stalls only itself.  Every job carries its client's tag into the
-// JSONL event stream (obs::NetEvent::tag).
+// cap, or kAdmitCap of its route requests await their replies, the I/O
+// thread stops reading it, so a client that sends and never reads stalls
+// only itself and queues bounded work.  Every job carries its client's
+// tag into the JSONL event stream (obs::NetEvent::tag).
 //
 // Lifecycle: the server is serving when the constructor returns.
 // begin_drain() sweeps the listen backlog and reads what clients already
@@ -57,6 +58,15 @@ class EventSink;
 }
 
 namespace patlabor::serve {
+
+/// Route requests of one connection admitted and not yet answered into
+/// its outbox, at which the I/O thread stops reading that connection.
+/// Twice a perfbench serve_mixed burst (8,000 requests), which never
+/// meets it.
+inline constexpr std::size_t kAdmitCap = 16384;
+/// Bytes the I/O thread reads from a connection at a time, so admission
+/// can pass kAdmitCap by at most the frames of one read.
+inline constexpr std::size_t kReadChunk = std::size_t{64} << 10;
 
 struct ServerOptions {
   /// Filesystem path of the AF_UNIX listening socket.  A stale file at the

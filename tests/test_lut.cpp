@@ -233,6 +233,67 @@ TEST(LutOptions, PruningVariantsProduceSameFrontiers) {
             full.stats().at(5).topologies);
 }
 
+TEST(LutParamDw, Degree7SampleAgreesWithDw) {
+  // Tier-1 does not generate the degree-7 table (about 20 s on 4 cores).
+  // Instead, param_dw solves a seeded sample of degree-7 canonical
+  // patterns, and every source's stored topologies are realized on random
+  // nets of that pattern: distinct x and y coordinates assigned by rank,
+  // as merge_pattern and query map ranks.  The Pareto filter of the
+  // topologies' trees must be the numeric DW's frontier.
+  constexpr int n = 7;
+  constexpr std::size_t kPatterns = 16;
+  constexpr int kNetsPerSource = 2;
+  std::vector<PinPattern> canonical;
+  PinPattern pat = make_pattern({0, 1, 2, 3, 4, 5, 6}, 0);
+  do {
+    if (lut::pattern_code(pat) == lut::canonical_pattern_only(pat).code)
+      canonical.push_back(pat);
+  } while (std::next_permutation(pat.perm.begin(), pat.perm.begin() + n));
+  ASSERT_GT(canonical.size(), 600u);
+
+  util::Rng rng(707);
+  const auto distinct_sorted = [&rng] {
+    std::vector<geom::Coord> v;
+    while (v.size() < static_cast<std::size_t>(n)) {
+      const geom::Coord c = rng.uniform_int(0, 999);
+      if (std::find(v.begin(), v.end(), c) == v.end()) v.push_back(c);
+    }
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  for (std::size_t k = 0; k < kPatterns; ++k) {
+    const PinPattern& p = canonical[rng.index(canonical.size())];
+    const lut::PatternSolutions sols = lut::param_dw(p);
+    for (int s = 0; s < n; ++s) {
+      const auto& topos = sols.per_source[static_cast<std::size_t>(s)];
+      ASSERT_FALSE(topos.empty()) << "pattern " << k << " source " << s;
+      for (int trial = 0; trial < kNetsPerSource; ++trial) {
+        const std::vector<geom::Coord> xs = distinct_sorted();
+        const std::vector<geom::Coord> ys = distinct_sorted();
+        const auto at = [&](RankPoint r) {
+          return geom::Point{xs[r.x], ys[r.y]};
+        };
+        Net net;
+        net.pins.push_back(at(p.pin(s)));  // the source first
+        for (int i = 0; i < n; ++i)
+          if (i != s) net.pins.push_back(at(p.pin(i)));
+        std::vector<pareto::Objective> objs;
+        std::vector<std::pair<geom::Point, geom::Point>> edges;
+        for (const lut::RankTopology& topo : topos) {
+          edges.clear();
+          for (const auto& [a, b] : topo.edges)
+            edges.emplace_back(at(a), at(b));
+          const auto tree = tree::RoutingTree::from_edges(net, edges);
+          ASSERT_TRUE(tree.validate().empty());
+          objs.push_back(tree.objective());
+        }
+        EXPECT_EQ(pareto::SolutionSet::of(objs), dw::pareto_frontier(net))
+            << "pattern " << k << " source " << s << " net " << trial;
+      }
+    }
+  }
+}
+
 TEST(LutMissingDegree, FallsBackToNumericDw) {
   LookupTable lut = LookupTable::generate(4);
   util::Rng rng(65);

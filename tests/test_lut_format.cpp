@@ -1,9 +1,9 @@
 // The on-disk container (lut_format.hpp): v2 roundtrips through open(),
 // generated-vs-opened parity, checkpoint/resume bit-identity, the
 // committed v2 golden file (the format-freeze check), and hostile-input
-// decoding (every count/offset/checksum a file can lie about must be
-// caught, never trusted — at open() for the container, at query time by
-// RecordCursor for the records).
+// decoding (every count/offset/checksum a file or checkpoint can lie about
+// must be caught, never trusted — at open() or resume for the container,
+// at query time by RecordCursor for the records).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -169,8 +169,10 @@ TEST(LutFormat, InspectV2ReportsStoredHash) {
   EXPECT_EQ(report.stored_content_hash, kGoldenDeg4Hash);
   EXPECT_EQ(report.computed_content_hash, kGoldenDeg4Hash);
   ASSERT_EQ(report.sections.size(), 1u);
-  EXPECT_EQ(report.sections[0].kind, lut::kSectionDegree);
+  EXPECT_EQ(report.sections[0].degree, 4);
   EXPECT_TRUE(report.sections[0].checksums_ok);
+  EXPECT_FALSE(report.checkpoint);
+  EXPECT_EQ(report.completed_patterns, 0u);
 }
 
 TEST(LutFormat, MissingFileNamesErrno) {
@@ -270,43 +272,66 @@ TEST(LutFormat, HostileChecksumMismatch) {
   EXPECT_FALSE(report.sections[0].checksums_ok);
 }
 
-TEST(LutFormat, CheckpointResumeIsBitIdentical) {
-  // A 2-thread pool keeps the merge window small enough that the abort
-  // hook fires mid-degree regardless of the host's core count.
-  par::ThreadPool pool(2);
-  LookupTable::GenerateOptions single;
-  single.pool = &pool;
-  const std::uint64_t want = LookupTable::generate(5, single).content_hash();
+TEST(LutFormat, SavedTableKeepsResumeFieldsZero) {
+  // Header bytes 52-63 carry a checkpoint's resume point; a finished table
+  // leaves them zero, as the golden file written before they existed has.
+  const std::string path = tmp_path("resume_fields.bin");
+  for (const auto& bytes : {fresh_v2_bytes(path), read_file(golden_v2_path())})
+    for (std::size_t i = 52; i < 64; ++i) EXPECT_EQ(bytes[i], 0) << i;
+}
 
-  const std::string ck = tmp_path("resume.ckpt");
+/// Generates a degree-5 table through checkpoints, aborting every
+/// `abort_after` merged patterns and resuming, on a `jobs`-thread pool.
+/// Returns the content hash; leaves the last checkpoint at `ck`.
+std::uint64_t generate_with_aborts(std::size_t jobs, const std::string& ck,
+                                   int& aborts) {
+  par::ThreadPool pool(jobs);
   std::remove(ck.c_str());
   LookupTable::GenerateOptions opt;
   opt.pool = &pool;
   opt.checkpoint_path = ck;
   opt.checkpoint_every = 4;
   opt.abort_after_patterns = 6;
-
-  int aborts = 0;
-  LookupTable resumed;
+  aborts = 0;
   for (;;) {
     try {
-      resumed = LookupTable::generate(5, opt);
-      break;
+      return LookupTable::generate(5, opt).content_hash();
     } catch (const lut::GenerationAborted&) {
       ++aborts;
-      ASSERT_LT(aborts, 64) << "abort/resume loop did not converge";
+      // Each abort leaves a checkpoint part-way through degree 5.
+      const auto report = lut::inspect_table_file(ck);
+      EXPECT_TRUE(report.checkpoint);
+      EXPECT_EQ(report.max_degree, 5);
+      EXPECT_LT(report.completed_patterns, report.stats.at(5).patterns);
+      if (aborts >= 64) {
+        ADD_FAILURE() << "abort/resume loop did not converge";
+        return 0;
+      }
       opt.resume = true;
     }
   }
-  EXPECT_GE(aborts, 1) << "abort hook never fired; resume path untested";
-  EXPECT_EQ(resumed.content_hash(), want);
+}
 
-  // The last checkpoint on disk is a valid container that inspect() can
-  // read but open() must refuse.
-  const auto report = lut::inspect_table_file(ck);
-  EXPECT_TRUE(report.checkpoint);
-  expect_open_error(ck, "generation checkpoint");
-  std::remove(ck.c_str());
+TEST(LutFormat, CheckpointResumeIsBitIdentical) {
+  // Degree 5 has more canonical patterns than one merge window at 4
+  // threads, so the abort hook fires mid-degree at either pool size.
+  const std::uint64_t want = LookupTable::generate(5).content_hash();
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    const std::string ck = tmp_path("resume.ckpt");
+    int aborts = 0;
+    EXPECT_EQ(generate_with_aborts(jobs, ck, aborts), want);
+    EXPECT_GE(aborts, 1) << "abort hook never fired; resume path untested";
+
+    // The last checkpoint on disk, taken at the degree-5 boundary, is a
+    // valid table file that inspect() can read but open() must refuse.
+    const auto report = lut::inspect_table_file(ck);
+    EXPECT_TRUE(report.checkpoint);
+    EXPECT_EQ(report.completed_patterns, report.stats.at(5).patterns);
+    EXPECT_EQ(report.stored_content_hash, want);
+    expect_open_error(ck, "generation checkpoint");
+    std::remove(ck.c_str());
+  }
 }
 
 TEST(LutFormat, ResumeRefusesChangedDwOptions) {
@@ -325,6 +350,119 @@ TEST(LutFormat, ResumeRefusesChangedDwOptions) {
   opt.dw.corner_pruning = !opt.dw.corner_pruning;
   EXPECT_THROW(LookupTable::generate(5, opt), FormatError);
   std::remove(ck.c_str());
+}
+
+/// An aborted degree-5 generation's checkpoint at `ck`: degree 4 done,
+/// degree 5 in progress.  Returns its bytes.
+std::vector<std::uint8_t> aborted_checkpoint(const std::string& ck) {
+  par::ThreadPool pool(2);
+  std::remove(ck.c_str());
+  LookupTable::GenerateOptions opt;
+  opt.pool = &pool;
+  opt.checkpoint_path = ck;
+  opt.checkpoint_every = 4;
+  opt.abort_after_patterns = 6;
+  EXPECT_THROW(LookupTable::generate(5, opt), lut::GenerationAborted);
+  return read_file(ck);
+}
+
+/// Expects resuming a degree-5 generation from `ck` to throw a FormatError
+/// whose message contains `needle` and names the path.
+void expect_resume_error(const std::string& ck, const std::string& needle) {
+  par::ThreadPool pool(2);
+  LookupTable::GenerateOptions opt;
+  opt.pool = &pool;
+  opt.checkpoint_path = ck;
+  opt.resume = true;
+  try {
+    (void)LookupTable::generate(5, opt);
+    FAIL() << "expected FormatError for " << ck;
+  } catch (const FormatError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+    EXPECT_NE(what.find(ck), std::string::npos) << what;
+  }
+}
+
+// FileHeader offsets of the resume point, and SectionEntry offsets.
+constexpr std::size_t kFlagsAt = 48;
+constexpr std::size_t kDwFlagsAt = 52;
+constexpr std::size_t kCompletedAt = 56;
+constexpr std::size_t kKindAt = 0;
+constexpr std::size_t kPatternsAt = 64;
+
+TEST(LutFormat, HostileCheckpointClaimsMorePatternsThanItsDegree) {
+  const std::string ck = tmp_path("overclaim.ckpt");
+  auto bytes = aborted_checkpoint(ck);
+  // The last section is the in-progress degree 5.
+  const std::size_t last = sizeof(lut::FileHeader) + sizeof(lut::SectionEntry);
+  ASSERT_EQ(peek<std::uint32_t>(bytes, last + 4), 5u);
+  const auto patterns = peek<std::uint64_t>(bytes, last + kPatternsAt);
+  poke<std::uint64_t>(bytes, kCompletedAt, patterns + 1);
+  write_file(ck, bytes);
+  expect_resume_error(ck, "merged patterns of degree 5");
+  EXPECT_THROW(lut::inspect_table_file(ck), FormatError);
+  std::remove(ck.c_str());
+}
+
+TEST(LutFormat, HostileResumeFieldsWithoutCheckpointFlag) {
+  {  // a checkpoint whose flag was cleared
+    const std::string ck = tmp_path("flag_cleared.ckpt");
+    auto bytes = aborted_checkpoint(ck);
+    poke<std::uint32_t>(bytes, kFlagsAt, 0);
+    write_file(ck, bytes);
+    expect_resume_error(ck, "checkpoint flag is clear");
+    expect_open_error(ck, "checkpoint flag is clear");
+    std::remove(ck.c_str());
+  }
+  // A finished table with either resume field set.
+  const std::string path = tmp_path("resume_fields_set.bin");
+  const auto good = fresh_v2_bytes(path);
+  for (const std::size_t at : {kDwFlagsAt, kCompletedAt}) {
+    auto bytes = good;
+    bytes[at] = 1;
+    write_file(path, bytes);
+    expect_open_error(path, "checkpoint flag is clear");
+  }
+}
+
+TEST(LutFormat, HostileCheckpointFlagOnEmptyFile) {
+  const std::string ck = tmp_path("empty.ckpt");
+  LookupTable{}.save(ck);
+  auto bytes = read_file(ck);
+  ASSERT_EQ(peek<std::uint32_t>(bytes, 20), 0u);  // section_count
+  poke<std::uint32_t>(bytes, kFlagsAt, lut::kFlagCheckpoint);
+  write_file(ck, bytes);
+  expect_resume_error(ck, "no sections");
+  std::remove(ck.c_str());
+}
+
+TEST(LutFormat, ResumeRefusesFinishedTable) {
+  const std::string ck = tmp_path("finished.ckpt");
+  LookupTable::generate(4).save(ck);
+  expect_resume_error(ck, "finished table, not a generation checkpoint");
+  std::remove(ck.c_str());
+}
+
+TEST(LutFormat, HostileRetiredSectionKinds) {
+  // Kinds 2 (checkpoint metadata) and 3 (unsorted partial slice) were the
+  // checkpoint dialect of older builds; such files are refused.
+  const std::size_t sec = sizeof(lut::FileHeader);
+  for (const std::uint32_t kind : {2u, 3u}) {
+    const std::string ck = tmp_path("old_kind.ckpt");
+    auto bytes = aborted_checkpoint(ck);
+    poke<std::uint32_t>(bytes, sec + sizeof(lut::SectionEntry) + kKindAt,
+                        kind);
+    write_file(ck, bytes);
+    expect_resume_error(ck, "unknown kind " + std::to_string(kind));
+    std::remove(ck.c_str());
+
+    const std::string path = tmp_path("old_kind.bin");
+    bytes = fresh_v2_bytes(path);
+    poke<std::uint32_t>(bytes, sec + kKindAt, kind);
+    write_file(path, bytes);
+    expect_open_error(path, "unknown kind " + std::to_string(kind));
+  }
 }
 
 // RecordCursor is the only guard between an opened file's blob and the

@@ -7,7 +7,8 @@
 // per-stage latency attribution against the client-observed wall, the
 // flight recorder dump, and the SIGUSR1 metrics dump — and the I/O
 // thread: frames split or packed arbitrarily across reads, mutated
-// streams, a client that never reads, and idle connections.
+// streams, a client that never reads, per-connection admission bounds,
+// and idle connections.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -759,6 +760,61 @@ TEST(Serve, SlowReaderDoesNotStallOthers) {
   server.stop();  // the bad client still holds its connection
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
   flood.join();
+}
+
+TEST(Serve, AdmissionIsBoundedPerConnection) {
+  // A client floods route requests with the frontier cache off and reads
+  // nothing.  Reading outruns routing, so an unbounded server would admit
+  // most of the flood at once; this one stops reading the connection while
+  // kAdmitCap of its requests await replies, and reads on as they go out.
+  serve::ServerOptions options = base_options();
+  options.engine.cache.enabled = false;
+  serve::Server server(options);
+  util::Rng rng(23);
+  serve::WireRouteRequest request;
+  request.net = netgen::uniform_net(rng, 5);  // numeric DW: past the table
+  const std::string frame = serve::encode_route_request(7, request);
+  const std::size_t kFlood = 3 * serve::kAdmitCap;
+  const std::size_t bound =
+      serve::kAdmitCap + serve::kReadChunk / frame.size() + 1;
+  std::string burst;
+  burst.reserve(kFlood * frame.size());
+  for (std::size_t i = 0; i < kFlood; ++i) burst += frame;
+
+  RawConn bad(server.socket_path());
+  std::thread flood([&] {
+    // Blocks whenever the server stops reading; the shutdown below ends it.
+    for (std::size_t sent = 0; sent < burst.size();) {
+      const ssize_t r = ::send(bad.fd(), burst.data() + sent,
+                               burst.size() - sent, MSG_NOSIGNAL);
+      if (r <= 0) return;
+      sent += static_cast<std::size_t>(r);
+    }
+  });
+  // Sample while the flood is admitted past twice the cap.
+  std::uint64_t peak = 0;
+  serve::Server::Stats s{};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (s.requests < 2 * serve::kAdmitCap &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    s = server.stats();
+    peak = std::max<std::uint64_t>(peak, s.in_flight);
+  }
+  EXPECT_GE(s.requests, 2 * serve::kAdmitCap) << "admission stalled";
+  EXPECT_LE(peak, bound);
+  EXPECT_GE(peak, serve::kAdmitCap / 2) << "the flood never queued up";
+
+  // Another client is served behind the flooder's queued requests.
+  serve::Client good(server.socket_path());
+  for (const geom::Net& net : make_nets(91, 4))
+    EXPECT_GT(good.route(net, {}).frontier.size(), 0u);
+  EXPECT_LE(server.stats().in_flight, bound);
+
+  ::shutdown(bad.fd(), SHUT_RDWR);
+  flood.join();
+  server.stop();
 }
 
 TEST(Serve, IdleConnectionsAddNoThreads) {

@@ -7,7 +7,6 @@
 //                      [--no-cache] [--csv <out.csv>] [--stats]
 //                      [--trace <out.json>] [--events <out.jsonl>]
 //                      [--events-deterministic] [--metrics-dump <out.prom>]
-//                      [--remote <socket>]
 //   patlabor_cli route --list-methods
 //   patlabor_cli lutgen <max_degree> <out.bin> [--jobs N] [--stats]
 //                       [--trace <out.json>] [--checkpoint <ck.bin>]
@@ -24,13 +23,9 @@
 //
 // lut info prints the container header, per-degree stats, section sizes
 // and the content hash of a table or checkpoint file without loading any
-// topology into the heap.
+// topology into the heap; for a checkpoint, also how far generation got.
 //
-// route --remote <socket> sends the nets to a running patlabord over its
-// wire protocol instead of routing in-process (serve::Client); frontiers
-// and CSV output are bit-identical to a local run of the same request.
-// Engine configuration flags (--lut/--lambda/--jobs/--no-cache) belong to
-// the daemon in that mode and are rejected here.
+// To route through a running patlabord instead, use patlabor_client route.
 //
 // route serves every request through engine::Engine: --method picks any
 // registered constructor (--list-methods enumerates them), --params
@@ -70,7 +65,6 @@
 #include "patlabor/obs/obs.hpp"
 #include "patlabor/obs/report.hpp"
 #include "patlabor/patlabor.hpp"
-#include "patlabor/serve/client.hpp"
 
 namespace {
 
@@ -91,7 +85,7 @@ int usage() {
       "[--lut <path>] [--lambda N] [--jobs N] [--no-cache] "
       "[--csv <out.csv>] [--stats] [--trace <out.json>] "
       "[--events <out.jsonl>] [--events-deterministic] "
-      "[--metrics-dump <out.prom>] [--remote <socket>]\n"
+      "[--metrics-dump <out.prom>]\n"
       "  patlabor_cli route --list-methods\n"
       "  patlabor_cli lutgen <max_degree> <out.bin> [--jobs N] [--stats] "
       "[--trace <out.json>] [--checkpoint <ck.bin>] [--checkpoint-every N] "
@@ -241,48 +235,6 @@ int list_methods() {
   return 0;
 }
 
-/// route --remote: the same request served by a running patlabord over the
-/// wire protocol.  Requests are pipelined (the daemon batches them with
-/// other clients'), replies matched by request id, output printed in net
-/// order — frontiers and CSV rows come out bit-identical to a local run.
-int route_remote(const std::string& socket_path, const std::string& in,
-                 const engine::RouteRequest& request,
-                 const std::string& csv_path) {
-  serve::Client client(socket_path);
-  const std::vector<geom::Net> nets = io::read_nets(in);
-  util::Timer timer;
-
-  const std::vector<serve::WireRouteResponse> responses =
-      client.route_all(nets, request);
-
-  std::unique_ptr<io::CsvWriter> csv;
-  if (!csv_path.empty())
-    csv = std::make_unique<io::CsvWriter>(
-        csv_path,
-        std::vector<std::string>{"net", "degree", "wirelength", "delay"});
-  std::size_t points = 0;
-  for (std::size_t n = 0; n < nets.size(); ++n) {
-    const geom::Net& net = nets[n];
-    const auto& r = responses[n];
-    std::printf("%s (degree %zu): %zu frontier points\n",
-                net.name.empty() ? "<net>" : net.name.c_str(), net.degree(),
-                r.frontier.size());
-    for (const auto& s : r.frontier) {
-      std::printf("  w=%lld d=%lld\n", static_cast<long long>(s.w),
-                  static_cast<long long>(s.d));
-      if (csv) csv->row({net.name, std::to_string(net.degree()),
-                         io::CsvWriter::num(static_cast<long long>(s.w)),
-                         io::CsvWriter::num(static_cast<long long>(s.d))});
-      ++points;
-    }
-  }
-  std::printf("routed %zu nets (%zu frontier points) in %s via %s\n",
-              nets.size(), points,
-              util::format_duration(timer.seconds()).c_str(),
-              socket_path.c_str());
-  return 0;
-}
-
 int cmd_route(int argc, char** argv) {
   // --list-methods anywhere on the line answers without routing.
   for (int i = 2; i < argc; ++i)
@@ -290,7 +242,6 @@ int cmd_route(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string in = argv[2];
   std::string lut_path, csv_path, trace_path, events_path, metrics_path;
-  std::string remote_socket;
   engine::RouteRequest request;
   bool stats = false;
   bool no_cache = false;
@@ -331,24 +282,12 @@ int cmd_route(int argc, char** argv) {
       events_deterministic = true;
     } else if (std::strcmp(argv[i], "--metrics-dump") == 0 && i + 1 < argc) {
       metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--remote") == 0 && i + 1 < argc) {
-      remote_socket = argv[++i];
     } else {
       return usage();
     }
   }
   if (events_deterministic && events_path.empty())
     throw CliError("--events-deterministic requires --events <out.jsonl>");
-  if (!remote_socket.empty()) {
-    // Engine configuration belongs to the daemon; accepting these locally
-    // would silently answer under a different config than requested.
-    if (!lut_path.empty() || no_cache || lambda != 9 || jobs != 0 ||
-        !events_path.empty())
-      throw CliError(
-          "--remote is incompatible with --lut/--lambda/--jobs/--no-cache/"
-          "--events (configure the daemon instead)");
-    return route_remote(remote_socket, in, request, csv_path);
-  }
 
   ObsSession obs_session(stats, trace_path, metrics_path);
   util::Timer timer;
@@ -521,12 +460,16 @@ int cmd_lutinfo(int argc, char** argv, int path_arg) {
               rep.stored_content_hash == rep.computed_content_hash
                   ? ""
                   : "  ** MISMATCH **");
-  if (rep.checkpoint)
-    std::printf("  checkpoint     degree %d in progress, %llu/%llu patterns "
-                "merged\n",
-                rep.ck_degree,
-                static_cast<unsigned long long>(rep.ck_completed_patterns),
-                static_cast<unsigned long long>(rep.ck_total_patterns));
+  if (rep.checkpoint && !rep.stats.empty()) {
+    // The resume point counts the merged patterns of the highest degree.
+    const auto& [degree, st] = *rep.stats.rbegin();
+    std::printf("  checkpoint     degree %d %s, %llu/%llu patterns merged\n",
+                degree,
+                rep.completed_patterns < st.patterns ? "in progress"
+                                                     : "complete",
+                static_cast<unsigned long long>(rep.completed_patterns),
+                static_cast<unsigned long long>(st.patterns));
+  }
 
   io::AsciiTable st_out({"Degree", "#Index", "#Topo avg", "Size (MB)",
                          "Gen time", "LP calls"});
@@ -544,12 +487,8 @@ int cmd_lutinfo(int argc, char** argv, int path_arg) {
         {"Section", "Degree", "Entries", "Index B", "Blob B", "Checksums"});
     int si = 0;
     for (const auto& s : rep.sections) {
-      const char* kind = s.kind == lut::kSectionDegree     ? "degree"
-                         : s.kind == lut::kSectionPartial  ? "partial"
-                                                           : "checkpoint";
       sec_out.add_row(
-          {std::to_string(si++) + " (" + kind + ")",
-           s.kind == lut::kSectionCheckpoint ? "-" : std::to_string(s.degree),
+          {std::to_string(si++), std::to_string(s.degree),
            util::with_commas(static_cast<std::int64_t>(s.entries)),
            util::with_commas(static_cast<std::int64_t>(s.index_bytes)),
            util::with_commas(static_cast<std::int64_t>(s.blob_bytes)),

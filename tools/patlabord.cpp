@@ -11,8 +11,8 @@
 // table, queries serve from the page cache, and N daemons pointed at the
 // same file share one physical copy.
 //
-// The daemon accepts concurrent client connections (tools/patlabor_client,
-// serve::Client, or patlabor_cli route --remote), coalescing in-flight
+// The daemon accepts concurrent client connections (serve::Client, or
+// `patlabor_client route` from a shell), coalescing in-flight
 // requests from all clients into Engine::route_batch calls on the
 // engine's thread pool.  Responses are bit-identical to a direct embedded
 // Engine::route of the same request — same λ, cache on or off.
